@@ -18,10 +18,10 @@ from .bounds import (BoundsReport, DegreeBounds, FactorizationCount, GOfB,
                      recipe_macaulay_degree)
 from .census import (BruteForceVerdict, CensusReport, CertSummary,
                      OracleReport, TrialRecord, brute_force_absirr,
-                     brute_force_empty, canonical_vectors, count_zf_points,
-                     enumerate_systems, feasible_max_ext, oracle_check,
-                     projective_points, run_census, sample_system,
-                     system_space_size, trial_seed, wilson_interval)
+                     brute_force_empty, count_zf_points, enumerate_systems,
+                     feasible_max_ext, oracle_check, projective_points,
+                     run_census, sample_system, system_space_size,
+                     trial_seed, wilson_interval)
 from .chow import ChowClass, chow_class, extract_bound, top_coefficient
 from .errors import (ArityMismatch, CicensusError, DegreeMismatch,
                      DivisionByZero, EmptyInput, FormatError,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from multiprocessing import Pool
 from .bounds import probability_lower_bound, projective_count
 from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
-from .macaulay import certify, projective_empty
+from .macaulay import certify, projective_empty, rank_over_field
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    monomials)
 
@@ -63,15 +64,6 @@ def sample_system(n: int, s: int, d, q: int, seed) -> PolySystem:
     return PolySystem(pattern=pattern, field=field, forms=tuple(forms))
 
 
-def canonical_vectors(field: Field, length: int):
-    """All vectors with first nonzero entry 1: one per projective point."""
-    q = field.q
-    for lead in range(length):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(q), repeat=length - lead - 1):
-            yield prefix + tail
-
-
 def system_space_size(n: int, s: int, d, q: int) -> int:
     """p_D = prod p_{D_i}, the number of projective coefficient tuples."""
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
@@ -95,7 +87,7 @@ def enumerate_systems(n: int, s: int, d, q: int,
         if i == s:
             yield ()
             return
-        for head in canonical_vectors(field, len(mon_lists[i])):
+        for head in projective_points(field, len(mon_lists[i]) - 1):
             for tail in rec(i + 1):
                 yield (head,) + tail
 
@@ -264,7 +256,6 @@ def brute_force_absirr(f: Poly, max_ext: int | None = None,
     if candidates > factor_cap:
         raise SearchSpaceTooLarge(
             f"{candidates} candidate factors exceed cap {factor_cap}")
-    from .macaulay import rank_over_field
     mons_f = monomials(nv, deg)
     f_index = {e: i for i, e in enumerate(mons_f)}
     for m in range(1, max_ext + 1):
@@ -275,7 +266,7 @@ def brute_force_absirr(f: Poly, max_ext: int | None = None,
         for a in range(1, deg // 2 + 1):
             mons_a = monomials(nv, a)
             mons_b = monomials(nv, deg - a)
-            for g_vec in canonical_vectors(ext, len(mons_a)):
+            for g_vec in projective_points(ext, len(mons_a) - 1):
                 rows = [[0] * len(mons_b) for _ in mons_f]
                 for ia, ea in enumerate(mons_a):
                     ga = g_vec[ia]
@@ -408,15 +399,13 @@ def _judge(system: PolySystem, certs, count_points: bool):
 
 
 def _mc_worker(payload):
-    (p, k, modulus, n, s, d, master, indices, certs, count_points,
-     keep_trials) = payload
-    field = Field(p, k, modulus)  # noqa: F841  (validates the spec tuple)
+    q, n, s, d, master, indices, certs, count_points, keep_trials = payload
     counts = {cert: 0 for cert in certs}
     records = []
     ci_points = []
     for idx in indices:
         seed = trial_seed(master, idx)
-        system = sample_system(n, s, d, field.q, seed)
+        system = sample_system(n, s, d, q, seed)
         verdicts, points = _judge(system, certs, count_points)
         for cert, ok in verdicts.items():
             if ok:
@@ -437,11 +426,13 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
     """Run a certificate census and compare against the theoretical floors."""
     t0 = time.monotonic()
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
-    field = field_from_order(q)
+    field_from_order(q)  # rejects q before any work starts
     certs = tuple(certs)
     for cert in certs:
         if cert not in CERTS:
             raise PatternViolation(f"unknown certificate {cert!r}")
+    if jobs < 1:
+        raise PatternViolation("jobs must be at least 1")
     counts = {cert: 0 for cert in certs}
     records = [] if keep_trials else None
     ci_points = []
@@ -472,19 +463,15 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
         if seed is None:
             seed = random.randrange(1 << 48)
         total = trials
-        indices = list(range(trials))
-        if jobs > 1 and trials > 1:
-            nchunks = min(jobs * 4, trials)
-            chunks = [indices[i::nchunks] for i in range(nchunks)]
-            payloads = [(field.p, field.k, field.modulus, n, s, tuple(d),
-                         seed, tuple(chunk), certs, count_points, keep_trials)
-                        for chunk in chunks if chunk]
+        jobs = min(jobs, trials, os.cpu_count() or 1)
+        nchunks = min(jobs * 4, trials)
+        payloads = [(q, n, s, tuple(d), seed, tuple(range(i, trials, nchunks)),
+                     certs, count_points, keep_trials) for i in range(nchunks)]
+        if jobs > 1:
             with Pool(jobs) as pool:
                 results = pool.map(_mc_worker, payloads)
         else:
-            results = [_mc_worker((field.p, field.k, field.modulus, n, s,
-                                   tuple(d), seed, tuple(indices), certs,
-                                   count_points, keep_trials))]
+            results = list(map(_mc_worker, payloads))
         for wcounts, wrecords, wpoints in results:
             for cert, c in wcounts.items():
                 counts[cert] += c

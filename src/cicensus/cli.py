@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=0)
     p.add_argument("--cert", default="all")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel trial workers (aggregation is deterministic)")
+                   help="parallel trial workers, at most the trial count and "
+                        "the CPU count (aggregation is deterministic)")
     p.add_argument("--count-points", action="store_true",
                    help="also count rational points of each Z(f)")
     p.add_argument("--keep-trials", action="store_true",

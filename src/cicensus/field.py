@@ -7,18 +7,24 @@ packed in base p as c_0 + c_1*p + ... + c_{k-1}*p^(k-1).  The encoding
 is canonical: distinct integers are distinct elements, 0 and 1 are the
 additive and multiplicative identities in every field.
 
-Small extension fields get lazily built operation tables; larger ones
-fall back to per-operation polynomial reduction.  All arithmetic is
-exact; cardinalities are expected to stay at desk scale.
+Addition works digit by digit.  An extension field multiplies through
+exp/log tables of its first primitive element in encoding order (Lidl and
+Niederreiter, Finite Fields, ch. 9), built on the first multiplication,
+shared by every Field with the same (p, k, modulus) and capped at
+q <= 2^20.  add, neg, sub, mul and submul take encodings as Python ints,
+returning ints, or as the int64 arrays of the elimination kernel.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from .errors import (DegreeMismatch, DivisionByZero, NotPrime,
                      ReducibleModulus, TooLarge)
 
-_TABLE_LIMIT = 1024
-_MAX_ORDER = 1 << 62  # element encodings stay machine-word sized
+_TABLE_LIMIT = 1 << 20  # largest extension field order; tables take 40 q bytes
 
 
 def is_prime(n: int) -> bool:
@@ -106,6 +112,11 @@ def _prime_factors(n):
     return out
 
 
+def _digits(a, p, k):
+    """Coefficient vector (c_0, ..., c_{k-1}) of the encoding a."""
+    return [a // p ** i % p for i in range(k)]
+
+
 def _psub(a, b, p):
     n = max(len(a), len(b))
     a = list(a) + [0] * (n - len(a))
@@ -136,6 +147,7 @@ def is_irreducible_mod_poly(coeffs, p) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def find_modulus(p, k):
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
@@ -145,11 +157,7 @@ def find_modulus(p, k):
     machines.
     """
     for i in range(p ** k):
-        digits = []
-        v = i
-        for _ in range(k):
-            digits.append(v % p)
-            v //= p
+        digits = _digits(i, p, k)
         if digits[0] == 0:
             continue  # divisible by x
         cand = digits + [1]
@@ -158,11 +166,48 @@ def find_modulus(p, k):
     raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
 
+@lru_cache(maxsize=32)  # holds every field oracle_check's default search meets
+def _exp_log(p, k, modulus):
+    """exp/log tables of F_{p^k} modulo `modulus`, as int64 arrays and as
+    memoryviews of them (whose items are Python ints).
+
+    exp[i] = g^i for 0 <= i < 2(q-1) and 0 above; log[0] = 2(q-1), so an
+    index sum with a zero operand lands in the zeros.
+    """
+    q = p ** k
+    m = list(modulus)
+    g = next(a for a in range(2, q)
+             if all(_ppowmod(_digits(a, p, k), (q - 1) // r, m, p) != [1]
+                    for r in _prime_factors(q - 1)))
+    # times[a] = g * a: coefficient i of g * a is the sum over j of
+    # coefficient j of a times coefficient i of g * x^j
+    gx = [_pmod(_pmul(_digits(g, p, k), [0] * j + [1], p), m, p) + [0] * k
+          for j in range(k)]
+    a = np.arange(q, dtype=np.int64)
+    times = sum(sum(a // p ** j % p * gx[j][i] for j in range(k)) % p * p ** i
+                for i in range(k))
+    # orbit of 1 by doubling: while times multiplies by g^n,
+    # exp[n:2n] = times[exp[:n]]
+    exp = np.zeros(4 * q - 3, dtype=np.int64)
+    exp[0] = 1
+    n = 1
+    while n < q - 1:
+        t = min(n, q - 1 - n)
+        exp[n:n + t] = times[exp[:t]]
+        times = times[times]
+        n += t
+    exp[q - 1:2 * q - 2] = exp[:q - 1]
+    log = np.empty(q, dtype=np.int64)
+    log[exp[:q - 1]] = a[:q - 1]
+    log[0] = 2 * q - 2
+    return (exp, log), (memoryview(exp), memoryview(log))
+
+
 class Field:
     """The finite field F_q, q = p^k, acting on integer-encoded elements."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_neg_table",
-                 "_inv_table", "_extensions")
+    __slots__ = ("p", "k", "q", "modulus", "_weights", "_tables",
+                 "_extensions")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         if not is_prime(p):
@@ -171,8 +216,8 @@ class Field:
             raise NotPrime(f"characteristic {p} exceeds 2^31")
         if k < 1:
             raise DegreeMismatch("extension degree must be >= 1")
-        if p ** k >= _MAX_ORDER:
-            raise TooLarge(f"field order {p}^{k} is beyond desk scale")
+        if k > 1 and p ** k > _TABLE_LIMIT:
+            raise TooLarge(f"extension field {p}^{k} exceeds 2^20 elements")
         if k == 1:
             if modulus is not None:
                 raise DegreeMismatch("prime fields take no modulus")
@@ -192,9 +237,8 @@ class Field:
         self.p = p
         self.k = k
         self.q = p ** k
-        self._mul_table = None
-        self._neg_table = None
-        self._inv_table = None
+        self._weights = tuple(p ** i for i in range(k))
+        self._tables = None
         self._extensions = {}
 
     # -- identity -----------------------------------------------------------
@@ -216,11 +260,7 @@ class Field:
 
     def coeffs(self, a: int):
         """Coefficient vector (c_0, ..., c_{k-1}) of the encoded element."""
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(_digits(a, self.p, self.k))
 
     def from_coeffs(self, vec) -> int:
         if len(vec) > self.k:
@@ -238,107 +278,63 @@ class Field:
         return range(self.q)
 
     # -- arithmetic ---------------------------------------------------------
+    # Operands are encodings as Python ints or int64 arrays.
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
+    def add(self, a, b):
         p = self.p
         out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
+        for w in self._weights:
+            out += (a // w + b // w) % p * w
         return out
 
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        if self._neg_table is not None:
-            return self._neg_table[a]
+    def neg(self, a):
         p = self.p
         out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
+        for w in self._weights:
+            out += -(a // w) % p * w
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        return self.add(a, self.neg(b))
+    def sub(self, a, b):
+        p = self.p
+        out = 0
+        for w in self._weights:
+            out += (a // w - b // w) % p * w
+        return out
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         if self.k == 1:
             return a * b % self.p
-        if self._mul_table is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_raw(a, b)
+        arrays, views = self._tables or self._load_tables()
+        exp, log = views if type(a) is type(b) is int else arrays
+        return exp[log[a] + log[b]]
 
-    def _mul_raw(self, a, b):
-        p = self.p
-        av = list(self.coeffs(a))
-        bv = list(self.coeffs(b))
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(av):
-            if ai:
-                for j, bj in enumerate(bv):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        red = _pmod(prod, list(self.modulus), p)
-        return self.from_coeffs(red + [0] * (self.k - len(red)))
+    def submul(self, x, c, y):
+        """x - c*y; a prime field reduces once per entry."""
+        if self.k == 1:
+            return (x - c * y) % self.p
+        return self.sub(x, self.mul(c, y))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("zero has no inverse")
         if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None and self._inv_table[a] is not None:
-            return self._inv_table[a]
-        r = self.pow(a, self.q - 2)
-        if self._inv_table is not None:
-            self._inv_table[a] = r
-        return r
+            return pow(a, -1, self.p)
+        exp, log = (self._tables or self._load_tables())[1]
+        return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if self.k == 1:
             return pow(a, e, self.p)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise DivisionByZero("zero has no inverse")
+            return 0 if e else 1
+        exp, log = (self._tables or self._load_tables())[1]
+        return exp[log[a] * e % (self.q - 1)]
 
-    def _build_tables(self):
-        q = self.q
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            row = mul[a]
-            for b in range(a, q):
-                v = self._mul_raw(a, b)
-                row[b] = v
-                mul[b][a] = v
-        self._mul_table = mul
-        neg = [0] * q
-        for a in range(q):
-            p = self.p
-            out = 0
-            mult = 1
-            v = a
-            for _ in range(self.k):
-                out += ((-v) % p) * mult
-                v //= p
-                mult *= p
-            neg[a] = out
-        self._neg_table = neg
-        self._inv_table = [None] * q
+    def _load_tables(self):
+        self._tables = _exp_log(self.p, self.k, self.modulus)
+        return self._tables
 
     # -- extensions ---------------------------------------------------------
 

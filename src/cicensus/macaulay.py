@@ -58,52 +58,25 @@ class MacaulayInstance:
     rows: tuple
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Row-echelon rank of an integer matrix over the prime field F_p."""
-    a = np.array(matrix, dtype=np.int64) % p
+def rank_over_field(rows, field: Field) -> int:
+    """Row-echelon rank of a dense matrix of element encodings over F_q."""
+    if not rows:
+        return 0
+    a = np.array(rows, dtype=np.int64)
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[r + 1:, c]
-        hit = np.nonzero(col)[0]
+        # columns left of c are zero in rows r and below
+        a[r, c:] = field.mul(a[r, c:], field.inv(int(a[r, c])))
+        hit = r + 1 + a[r + 1:, c].nonzero()[0]
         if hit.size:
-            a[r + 1 + hit] = (a[r + 1 + hit] - np.outer(col[hit], a[r])) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rank_over_field(rows, field: Field) -> int:
-    """Rank of a dense matrix of element encodings over an arbitrary F_q."""
-    if field.k == 1:
-        if not rows:
-            return 0
-        return rank_mod_p(rows, field.p)
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(inv, v) for v in a[r]]
-        for i in range(r + 1, nrows):
-            f = a[i][c]
-            if f:
-                row_r = a[r]
-                a[i] = [field.sub(v, field.mul(f, w))
-                        for v, w in zip(a[i], row_r)]
+            a[hit, c:] = field.submul(a[hit, c:], a[hit, c, None], a[r, c:])
         r += 1
         if r == nrows:
             break
