@@ -34,6 +34,6 @@ from .macaulay import (EmptinessVerdict, MacaulayInstance, certify,
                        certify_all, macaulay_degree, macaulay_instance,
                        projective_empty, rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
-                   build_test_system, compose_linear, jacobian_det,
-                   jacobian_minor, monomial_index, monomials,
+                   build_test_system, cert_recipe, compose_linear,
+                   jacobian_det, jacobian_minor, monomial_index, monomials,
                    parse_system_file, poly_parse, system_file_text)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import HypothesisViolated, PatternViolation, UnsupportedCertificate
-from .poly import CERTS, DegreePattern
+from .errors import HypothesisViolated, PatternViolation
+from .poly import CERTS, DegreePattern, cert_recipe
 
 # ---------------------------------------------------------------------------
 # Pattern statistics
@@ -61,24 +61,19 @@ class DegreeBounds:
 
 
 def degree_bounds(n: int, s: int, d, cert: str) -> DegreeBounds:
-    """Homogeneity-degree bounds of the obstruction for each certificate."""
-    if cert not in CERTS:
-        raise UnsupportedCertificate(f"unknown certificate {cert!r}")
+    """Homogeneity-degree bounds of the obstruction for each certificate.
+
+    With m minors in the recipe, the coefficients of f_i enter the
+    resultant once directly and once, linearly, through each minor.  The
+    concise bounds are the paper's."""
+    m = len(cert_recipe(cert, n, s)[0])
     st = pattern_stats(n, s, d)
     delta, sigma = st.delta, st.sigma
-    if cert == "stci":
-        per_i = tuple(delta // di for di in st.d)
-        concise = max(per_i)
-    elif cert == "ci":
-        per_i = tuple((delta // di) * sigma + delta for di in st.d)
-        concise = 2 * sigma * delta
-    elif cert == "nons":
-        per_i = tuple(sigma ** (n - s) * ((delta // di) * sigma + delta * (n - s + 1))
-                      for di in st.d)
-        concise = (sigma + n) * sigma ** (n - s) * delta
-    else:  # irr
-        per_i = tuple(sigma * ((delta // di) * sigma + 2 * delta) for di in st.d)
-        concise = 3 * sigma ** 2 * delta
+    per_i = tuple((delta // di) * sigma ** m + m * delta * sigma ** max(m - 1, 0)
+                  for di in st.d)
+    concise = {"stci": max(per_i), "ci": 2 * sigma * delta,
+               "nons": (sigma + n) * sigma ** (n - s) * delta,
+               "irr": 3 * sigma ** 2 * delta}[cert]
     return DegreeBounds(cert=cert, per_i=per_i, concise=concise)
 
 
@@ -395,17 +390,11 @@ def pattern_landscape(b: int, n: int, s: int) -> PatternLandscape:
 
 
 def recipe_macaulay_degree(n: int, s: int, d, cert: str) -> int:
-    """Macaulay degree of each certificate's derived degree list, closed form."""
-    if cert not in CERTS:
-        raise UnsupportedCertificate(f"unknown certificate {cert!r}")
+    """Macaulay degree of each certificate's derived degree list, closed form:
+    sigma + m (sigma - 1) + 1 with m minors of degree sigma in the recipe."""
+    m = len(cert_recipe(cert, n, s)[0])
     sigma = pattern_stats(n, s, d).sigma
-    if cert == "stci":
-        return sigma + 1
-    if cert == "ci":
-        return 2 * sigma
-    if cert == "nons":
-        return sigma + (n - s + 1) * (sigma - 1) + 1
-    return 3 * sigma - 1  # irr
+    return sigma + m * (sigma - 1) + 1
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,10 @@ from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_POINT_CAP = 200_000
 DEFAULT_FACTOR_CAP = 200_000
+# oracle_check draws n, q and n+1 degrees with product <= ORACLE_MAX_BEZOUT
+ORACLE_DIMS = (1, 2, 3)
+ORACLE_FIELDS = (2, 3, 5)
+ORACLE_MAX_BEZOUT = 8
 
 
 def trial_seed(master, index: int) -> str:
@@ -48,20 +52,22 @@ def trial_seed(master, index: int) -> str:
 # Sampling and enumeration
 
 
+def _random_form(rng, field, nvars, degree):
+    """Form of the given degree with a uniform nonzero coefficient vector."""
+    mons = monomials(nvars, degree)
+    while True:
+        vec = [rng.randrange(field.q) for _ in mons]
+        if any(vec):
+            return Poly.from_terms(field, nvars, zip(mons, vec), degree=degree)
+
+
 def sample_system(n: int, s: int, d, q: int, seed) -> PolySystem:
     """Uniform system: each form a uniform nonzero coefficient vector."""
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
     field = field_from_order(q)
     rng = random.Random(seed)
-    forms = []
-    for di in pattern.d:
-        mons = monomials(n + 1, di)
-        while True:
-            vec = [rng.randrange(q) for _ in mons]
-            if any(vec):
-                break
-        forms.append(Poly.from_terms(field, n + 1, zip(mons, vec), degree=di))
-    return PolySystem(pattern=pattern, field=field, forms=tuple(forms))
+    forms = tuple(_random_form(rng, field, n + 1, di) for di in pattern.d)
+    return PolySystem(pattern=pattern, field=field, forms=forms)
 
 
 def system_space_size(n: int, s: int, d, q: int) -> int:
@@ -267,7 +273,10 @@ def brute_force_absirr(f: Poly, max_ext: int | None = None,
             mons_a = monomials(nv, a)
             mons_b = monomials(nv, deg - a)
             for g_vec in projective_points(ext, len(mons_a) - 1):
-                rows = [[0] * len(mons_b) for _ in mons_f]
+                # columns g * m_b, then f; the first len(mons_b) are
+                # independent because g != 0, so g divides f iff f adds
+                # nothing to their rank
+                rows = [[0] * len(mons_b) + [v] for v in f_vec]
                 for ia, ea in enumerate(mons_a):
                     ga = g_vec[ia]
                     if not ga:
@@ -275,10 +284,7 @@ def brute_force_absirr(f: Poly, max_ext: int | None = None,
                     for ib, eb in enumerate(mons_b):
                         tgt = tuple(x + y for x, y in zip(ea, eb))
                         rows[f_index[tgt]][ib] = ga
-                plain = rank_over_field(rows, ext)
-                augmented = rank_over_field(
-                    [r + [v] for r, v in zip(rows, f_vec)], ext)
-                if plain == augmented:
+                if rank_over_field(rows, ext) == len(mons_b):
                     return False
     return True
 
@@ -392,31 +398,31 @@ class CensusReport:
         return any(cs.verdict == "violated" for cs in self.per_cert.values())
 
 
-def _judge(system: PolySystem, certs, count_points: bool):
-    verdicts = {cert: certify(system, cert) for cert in certs}
-    points = count_zf_points(system) if count_points else None
-    return verdicts, points
-
-
-def _mc_worker(payload):
-    q, n, s, d, master, indices, certs, count_points, keep_trials = payload
-    counts = {cert: 0 for cert in certs}
-    records = []
-    ci_points = []
-    for idx in indices:
-        seed = trial_seed(master, idx)
-        system = sample_system(n, s, d, q, seed)
-        verdicts, points = _judge(system, certs, count_points)
+def _tally(trials, certs, count_points: bool, keep_trials: bool):
+    """Decide every (index, seed, system): pass counts, trial records, the
+    point counts of ci-certified systems, and the number decided."""
+    counts = dict.fromkeys(certs, 0)
+    records, ci_points, decided = [], [], 0
+    for idx, seed, system in trials:
+        verdicts = {cert: certify(system, cert) for cert in certs}
+        points = count_zf_points(system) if count_points else None
         for cert, ok in verdicts.items():
-            if ok:
-                counts[cert] += 1
+            counts[cert] += ok
         if count_points and verdicts.get("ci"):
             ci_points.append(points)
         if keep_trials:
             records.append(TrialRecord(index=idx, seed=seed,
                                        system_text=system.serialize(),
                                        verdicts=verdicts, points=points))
-    return counts, records, ci_points
+        decided += 1
+    return counts, records, ci_points, decided
+
+
+def _mc_worker(payload):
+    q, n, s, d, master, indices, certs, count_points, keep_trials = payload
+    seeds = ((idx, trial_seed(master, idx)) for idx in indices)
+    return _tally(((idx, seed, sample_system(n, s, d, q, seed)) for idx, seed in seeds),
+                  certs, count_points, keep_trials)
 
 
 def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = None,
@@ -433,30 +439,11 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
             raise PatternViolation(f"unknown certificate {cert!r}")
     if jobs < 1:
         raise PatternViolation("jobs must be at least 1")
-    counts = {cert: 0 for cert in certs}
-    records = [] if keep_trials else None
-    ci_points = []
-
     if mode == "exhaustive":
         total = system_space_size(n, s, d, q)
-        if total > exhaustive_cap:
-            raise TooLarge(f"{total} systems exceed the exhaustive cap "
-                           f"{exhaustive_cap}")
-        enumerated = 0
-        for idx, system in enumerate(
-                enumerate_systems(n, s, d, q, cap=exhaustive_cap)):
-            verdicts, points = _judge(system, certs, count_points)
-            for cert, ok in verdicts.items():
-                if ok:
-                    counts[cert] += 1
-            if count_points and verdicts.get("ci"):
-                ci_points.append(points)
-            if keep_trials:
-                records.append(TrialRecord(
-                    index=idx, seed="", system_text=system.serialize(),
-                    verdicts=verdicts, points=points))
-            enumerated += 1
-        assert enumerated == total, "enumeration does not match p_D"
+        systems = enumerate_systems(n, s, d, q, cap=exhaustive_cap)
+        results = [_tally(((idx, "", system) for idx, system in enumerate(systems)),
+                          certs, count_points, keep_trials)]
     elif mode == "monte_carlo":
         if trials is None or trials < 1:
             raise PatternViolation("monte_carlo mode needs a positive trial count")
@@ -472,16 +459,19 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
                 results = pool.map(_mc_worker, payloads)
         else:
             results = list(map(_mc_worker, payloads))
-        for wcounts, wrecords, wpoints in results:
-            for cert, c in wcounts.items():
-                counts[cert] += c
-            ci_points.extend(wpoints)
-            if keep_trials:
-                records.extend(wrecords)
-        if keep_trials:
-            records.sort(key=lambda r: r.index)
     else:
         raise PatternViolation(f"unknown census mode {mode!r}")
+
+    counts = dict.fromkeys(certs, 0)
+    records, ci_points, decided = [], [], 0
+    for wcounts, wrecords, wpoints, wdecided in results:
+        for cert, c in wcounts.items():
+            counts[cert] += c
+        records.extend(wrecords)
+        ci_points.extend(wpoints)
+        decided += wdecided
+    assert decided == total, "trials decided do not match the census size"
+    records.sort(key=lambda r: r.index)
 
     per_cert = {}
     for cert in certs:
@@ -542,14 +532,6 @@ def _degree_tuples(nforms: int, max_product: int):
     return tuple(out)
 
 
-def _random_form(rng, field, nvars, degree):
-    mons = monomials(nvars, degree)
-    while True:
-        vec = [rng.randrange(field.q) for _ in mons]
-        if any(vec):
-            return Poly.from_terms(field, nvars, zip(mons, vec), degree=degree)
-
-
 def _rooted_form(rng, field, nvars, degree, point):
     """Random form vanishing at the given canonical point."""
     lead = point.index(1)
@@ -584,8 +566,7 @@ class OracleReport:
                 "records": list(self.records) if self.records is not None else None}
 
 
-def oracle_check(trials: int, seed, *, qs=(2, 3, 5), n_choices=(1, 2, 3),
-                 max_bezout: int = 8, point_cap: int = DEFAULT_POINT_CAP,
+def oracle_check(trials: int, seed, *, point_cap: int = DEFAULT_POINT_CAP,
                  keep_records: bool = False) -> OracleReport:
     """Randomized agreement test between the rank gate and point search.
 
@@ -600,10 +581,10 @@ def oracle_check(trials: int, seed, *, qs=(2, 3, 5), n_choices=(1, 2, 3),
     disagreements = []
     records = [] if keep_records else None
     for t in range(trials):
-        n = rng.choice(n_choices)
-        q = rng.choice(qs)
+        n = rng.choice(ORACLE_DIMS)
+        q = rng.choice(ORACLE_FIELDS)
         field = Field(q)
-        degrees = rng.choice(_degree_tuples(n + 1, max_bezout))
+        degrees = rng.choice(_degree_tuples(n + 1, ORACLE_MAX_BEZOUT))
         rooted = rng.random() < 0.5
         forms = []
         if rooted:

@@ -1,9 +1,9 @@
 """Truncated intersection-class arithmetic in Z[t_0, t_1..t_s]/(t_0^(n+2)).
 
-The two certificate classes are products of linear classes:
+A certificate's class is a product of linear classes, read from its
+recipe (m minors and c coordinate forms appended to f_1..f_s):
 
-    nons:  prod_i (d_i t_0 + t_i) * (sigma t_0 + t_1 + ... + t_s)^(n-s+1)
-    irr:   prod_i (d_i t_0 + t_i) * (sigma t_0 + t_1 + ... + t_s)^2 * t_0^(n-s-1)
+    prod_i (d_i t_0 + t_i) * (sigma t_0 + t_1 + ... + t_s)^m * t_0^c
 
 Only t_0 is truncated (at power n+2); higher powers of the t_i are kept
 so no term is dropped prematurely.  The degree bounds are the
@@ -14,7 +14,7 @@ leading homogeneity weight.  Coefficients are arbitrary-precision.
 from __future__ import annotations
 
 from .errors import IndexOutOfRange, UnsupportedCertificate
-from .poly import DegreePattern
+from .poly import DegreePattern, cert_recipe
 
 
 class ChowClass:
@@ -88,18 +88,13 @@ def chow_class(cert: str, n: int, s: int, d) -> ChowClass:
     if cert not in ("nons", "irr"):
         raise UnsupportedCertificate(f"no class expansion for {cert!r}")
     pat = DegreePattern(n=n, s=s, d=tuple(d))
-    sigma = pat.sigma
+    minors, coords = cert_recipe(cert, n, s)
     acc = ChowClass.one(n, s)
     for i, di in enumerate(pat.d, start=1):
         acc = acc * ChowClass.linear(n, s, {0: di, i: 1})
-    spread = ChowClass.linear(n, s, {0: sigma, **{i: 1 for i in range(1, s + 1)}})
-    if cert == "nons":
-        acc = acc * spread ** (n - s + 1)
-    else:
-        acc = acc * spread ** 2
-        t0 = ChowClass.linear(n, s, {0: 1})
-        acc = acc * t0 ** (n - s - 1)
-    return acc
+    spread = ChowClass.linear(n, s, {0: pat.sigma, **{i: 1 for i in range(1, s + 1)}})
+    t0 = ChowClass.linear(n, s, {0: 1})
+    return acc * spread ** len(minors) * t0 ** len(coords)
 
 
 def extract_bound(cls: ChowClass, i: int) -> int:

@@ -19,14 +19,14 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bounds import (bounds_report, pattern_landscape, pattern_stats,
-                     recipe_macaulay_degree)
+from .bounds import (bounds_report, degree_bounds, pattern_landscape,
+                     pattern_stats, recipe_macaulay_degree)
 from .census import oracle_check, run_census
 from .chow import chow_class, extract_bound, top_coefficient
 from .errors import CicensusError
 from .field import parse_field_spec
-from .macaulay import certify, macaulay_degree
-from .poly import CERTS, build_test_system, parse_system_file
+from .macaulay import projective_empty
+from .poly import CERTS, build_test_system, cert_recipe, parse_system_file
 
 OUTDIR_ENV = "CICENSUS_OUTDIR"
 
@@ -42,7 +42,14 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def _emit_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # p_D can pass Python's cap on digits in an int-to-str conversion; lift
+    # the cap for this dump only, so that parsing input keeps its guard
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(cap)
     print(text)
     out = _resolve_out(out)
     if out:
@@ -138,17 +145,16 @@ def _cmd_test(args) -> int:
     print(f"system: n={pat.n} s={pat.s} d={list(pat.d)} over "
           f"F_{system.field.spec_str()} (delta={pat.delta}, sigma={pat.sigma})")
     for cert in _parse_certs(args.cert):
-        ok = certify(system, cert)
         ts = build_test_system(system, cert)
-        n_deg = macaulay_degree(ts.degrees)
-        if ok:
+        verdict = projective_empty(ts)
+        if verdict.empty:
             meaning = _GUARANTEES[cert].format(dim=pat.n - pat.s,
                                                delta=pat.delta)
             print(f"{cert}: pass: {meaning}")
         else:
             print(f"{cert}: fail: no conclusion (the certificate is a "
                   f"sufficient condition only)")
-        print(f"      emptiness test at degree {n_deg} on the derived "
+        print(f"      emptiness test at degree {verdict.degree} on the derived "
               f"degrees {list(ts.degrees)}")
     return 0
 
@@ -199,24 +205,18 @@ def _cmd_patterns(args) -> int:
 def _cmd_chow(args) -> int:
     d = _parse_d(args.d)
     st = pattern_stats(args.n, args.s, d)
-    n, s, delta, sigma = st.n, st.s, st.delta, st.sigma
+    n, s = st.n, st.s
     payload = {"n": n, "s": s, "d": list(st.d)}
     all_match = True
     for cert in ("nons", "irr"):
         cls = chow_class(cert, n, s, d)
         per_i = []
-        for i, di in enumerate(st.d, start=1):
+        for i, closed in enumerate(degree_bounds(n, s, d, cert).per_i, start=1):
             coeff = extract_bound(cls, i)
-            if cert == "nons":
-                closed = sigma ** (n - s) * ((delta // di) * sigma
-                                             + delta * (n - s + 1))
-            else:
-                closed = sigma * ((delta // di) * sigma + 2 * delta)
             per_i.append({"i": i, "coefficient": coeff, "closed_form": closed,
                           "match": coeff == closed})
         top = top_coefficient(cls)
-        top_closed = (sigma ** (n - s + 1) * delta if cert == "nons"
-                      else sigma ** 2 * delta)
+        top_closed = st.sigma ** len(cert_recipe(cert, n, s)[0]) * st.delta
         payload[cert] = {"per_i": per_i,
                          "top": {"coefficient": top, "closed_form": top_closed,
                                  "match": top == top_closed}}

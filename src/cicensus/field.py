@@ -166,7 +166,7 @@ def find_modulus(p, k):
     raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")  # pragma: no cover
 
 
-@lru_cache(maxsize=32)  # holds every field oracle_check's default search meets
+@lru_cache(maxsize=32)  # holds every field oracle_check's search meets
 def _exp_log(p, k, modulus):
     """exp/log tables of F_{p^k} modulo `modulus`, as int64 arrays and as
     memoryviews of them (whose items are Python ints).

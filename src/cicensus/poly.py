@@ -415,32 +415,29 @@ def jacobian_det(system: PolySystem) -> Poly:
     return jacobian_minor(system, system.pattern.s + 1)
 
 
-def build_test_system(system: PolySystem, cert: str) -> TestSystem:
-    """Assemble the n+1 forms whose emptiness decides the given certificate."""
+def cert_recipe(cert: str, n: int, s: int):
+    """What a certificate appends to f_1..f_s: (k of each minor J_k, j of
+    each coordinate form X_j).  Test systems, Macaulay degrees, degree
+    bounds and class expansions are all read from this table."""
     if cert not in CERTS:
         raise UnsupportedCertificate(f"unknown certificate {cert!r}")
+    minors, coords = {"stci": ((), range(s, n + 1)),
+                      "ci": ((s + 1,), range(s + 1, n + 1)),
+                      "nons": (range(s + 1, n + 2), ()),
+                      "irr": ((s + 1, s + 2), range(s + 2, n + 1))}[cert]
+    return tuple(minors), tuple(coords)
+
+
+def build_test_system(system: PolySystem, cert: str) -> TestSystem:
+    """Assemble the n+1 forms whose emptiness decides the given certificate:
+    f, then the recipe's minors (degree sigma), then its coordinate forms."""
     pat = system.pattern
-    n, s = pat.n, pat.s
-    field = system.field
-    nvars = n + 1
-    var = lambda j: Poly.variable(field, nvars, j)
-    fs = list(system.forms)
-    d = list(pat.d)
-    sigma = pat.sigma
-    if cert == "stci":
-        forms = fs + [var(j) for j in range(s, n + 1)]
-        degrees = d + [1] * (n - s + 1)
-    elif cert == "ci":
-        forms = fs + [jacobian_det(system)] + [var(j) for j in range(s + 1, n + 1)]
-        degrees = d + [sigma] + [1] * (n - s)
-    elif cert == "nons":
-        forms = fs + [jacobian_minor(system, k) for k in range(s + 1, n + 2)]
-        degrees = d + [sigma] * (n - s + 1)
-    else:  # irr
-        forms = fs + [jacobian_minor(system, s + 1), jacobian_minor(system, s + 2)]
-        forms += [var(j) for j in range(s + 2, n + 1)]
-        degrees = d + [sigma, sigma] + [1] * (n - s - 1)
-    return TestSystem(cert, field, nvars, tuple(forms), tuple(degrees))
+    minors, coords = cert_recipe(cert, pat.n, pat.s)
+    nvars = pat.n + 1
+    forms = (system.forms + tuple(jacobian_minor(system, k) for k in minors)
+             + tuple(Poly.variable(system.field, nvars, j) for j in coords))
+    degrees = pat.d + (pat.sigma,) * len(minors) + (1,) * len(coords)
+    return TestSystem(cert, system.field, nvars, forms, degrees)
 
 
 def compose_linear(f: Poly, matrix) -> Poly:
