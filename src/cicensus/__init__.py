@@ -31,8 +31,8 @@ from .errors import (ArityMismatch, CicensusError, DegreeMismatch,
                      TooLarge, UnsupportedCertificate)
 from .field import Field, field_from_order, is_prime, parse_field_spec
 from .macaulay import (EmptinessVerdict, MacaulayInstance, certify,
-                       certify_all, macaulay_degree, macaulay_instance,
-                       projective_empty, rank_over_field)
+                       certify_all, coordinate_slice, decide, macaulay_degree,
+                       macaulay_instance, projective_empty, rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    build_test_system, cert_recipe, compose_linear,
                    jacobian_det, jacobian_minor, monomial_index, monomials,

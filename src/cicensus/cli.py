@@ -25,8 +25,8 @@ from .census import oracle_check, run_census
 from .chow import chow_class, extract_bound, top_coefficient
 from .errors import CicensusError
 from .field import parse_field_spec
-from .macaulay import projective_empty
-from .poly import CERTS, build_test_system, cert_recipe, parse_system_file
+from .macaulay import decide
+from .poly import CERTS, cert_recipe, parse_system_file
 
 OUTDIR_ENV = "CICENSUS_OUTDIR"
 
@@ -145,8 +145,9 @@ def _cmd_test(args) -> int:
     print(f"system: n={pat.n} s={pat.s} d={list(pat.d)} over "
           f"F_{system.field.spec_str()} (delta={pat.delta}, sigma={pat.sigma})")
     for cert in _parse_certs(args.cert):
-        ts = build_test_system(system, cert)
-        verdict = projective_empty(ts)
+        verdict = decide(system, cert)
+        minors, coords = cert_recipe(cert, pat.n, pat.s)
+        degrees = list(pat.d) + [pat.sigma] * len(minors) + [1] * len(coords)
         if verdict.empty:
             meaning = _GUARANTEES[cert].format(dim=pat.n - pat.s,
                                                delta=pat.delta)
@@ -155,7 +156,9 @@ def _cmd_test(args) -> int:
             print(f"{cert}: fail: no conclusion (the certificate is a "
                   f"sufficient condition only)")
         print(f"      emptiness test at degree {verdict.degree} on the derived "
-              f"degrees {list(ts.degrees)}")
+              f"degrees {degrees}")
+        print(f"      Macaulay matrix {verdict.nrows}x{verdict.ncols}: "
+              f"rank {verdict.rank}, deficit {verdict.deficit}")
     return 0
 
 
