@@ -31,7 +31,7 @@ from .errors import (ArityMismatch, CicensusError, DegreeMismatch,
                      TooLarge, UnsupportedCertificate)
 from .field import Field, field_from_order, is_prime, parse_field_spec
 from .macaulay import (EmptinessVerdict, MacaulayInstance, certify,
-                       certify_all, coordinate_slice, decide, macaulay_degree,
+                       coordinate_slice, decide, macaulay_degree,
                        macaulay_instance, projective_empty, rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    build_test_system, cert_recipe, compose_linear,

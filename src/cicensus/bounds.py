@@ -99,9 +99,7 @@ def probability_lower_bound(n: int, s: int, d, q: int, cert: str) -> Probability
     db = degree_bounds(n, s, d, cert)
     e = db.concise
     bound = 1 - Fraction(s * e, q)
-    product = Fraction(1)
-    for ei in db.per_i:
-        product *= 1 - Fraction(ei, q)
+    product = math.prod(1 - Fraction(ei, q) for ei in db.per_i)
     threshold = Fraction(s * e, 3)
     return ProbabilityBound(cert=cert, e_per_i=db.per_i, e_concise=e,
                             bound=bound, product_bound=product,
@@ -295,10 +293,7 @@ def _weak_tail(b: int, q: int, g: int) -> float:
 def linear_independent_count(n: int, s: int, q: int) -> int:
     """Number of (s-1)-tuples of independent points of P^n(F_q):
     prod_{0 <= k <= s-2} (q^(n+1) - q^k) / (q - 1), exactly."""
-    out = 1
-    for k in range(s - 1):
-        out *= q ** k * projective_count(n - k, q)
-    return out
+    return math.prod(q ** k * projective_count(n - k, q) for k in range(s - 1))
 
 
 def hypersurface_census_bounds(n: int, s: int, b: int, q: int) -> HypersurfaceCensusBounds:
@@ -413,9 +408,8 @@ def bounds_report(n: int, s: int, d, q: int | None = None) -> BoundsReport:
     p_n = p_big_d = probability = None
     if q is not None:
         p_n = projective_count(n, q)
-        p_big_d = 1
-        for di_count in stats.big_d:
-            p_big_d *= projective_count(di_count, q)
+        p_big_d = math.prod(projective_count(di_count, q)
+                            for di_count in stats.big_d)
         probability = {cert: probability_lower_bound(n, s, d, q, cert)
                        for cert in CERTS}
     return BoundsReport(stats=stats, q=q, p_n=p_n, p_big_d=p_big_d,

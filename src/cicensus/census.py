@@ -12,6 +12,10 @@ timestamp/runtime fields.
 Monte Carlo verdicts use Wilson score intervals at 3 sigma; "violated"
 requires the whole interval below the theoretical floor, and floors whose
 q-guard fails are reported as "vacuous" rather than asserted.
+
+Point counting and the brute-force emptiness search scan P^n(F_{q^m}) in
+int64 blocks of points, in the order of projective_points, evaluating
+every form on a whole block through the field's array mul and add.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from multiprocessing import Pool
 
+import numpy as np
+
 from .bounds import probability_lower_bound, projective_count
 from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
@@ -41,6 +47,7 @@ DEFAULT_FACTOR_CAP = 200_000
 ORACLE_DIMS = (1, 2, 3)
 ORACLE_FIELDS = (2, 3, 5)
 ORACLE_MAX_BEZOUT = 8
+_BLOCK = 4096  # points per array in a point search, bounding its memory
 
 
 def trial_seed(master, index: int) -> str:
@@ -73,10 +80,8 @@ def sample_system(n: int, s: int, d, q: int, seed) -> PolySystem:
 def system_space_size(n: int, s: int, d, q: int) -> int:
     """p_D = prod p_{D_i}, the number of projective coefficient tuples."""
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
-    total = 1
-    for di in pattern.d:
-        total *= projective_count(len(monomials(n + 1, di)) - 1, q)
-    return total
+    return math.prod(projective_count(len(monomials(n + 1, di)) - 1, q)
+                     for di in pattern.d)
 
 
 def enumerate_systems(n: int, s: int, d, q: int,
@@ -117,64 +122,48 @@ def projective_points(field: Field, n: int):
             yield prefix + tail
 
 
-def _prep_forms(forms, emb):
-    """Order forms cheapest-first and embed coefficients.
+def _point_blocks(field: Field, n: int):
+    """P^n(F_q) as int64 arrays of at most _BLOCK rows, in the order of
+    projective_points.  weights[L] = q^(n-L) points have lead L, from
+    starts[L] on; point i has the largest L with starts[L] <= i, and its
+    coordinates after X_L are i - starts[L] written in base q."""
+    q = field.q
+    weights = q ** np.arange(n, -1, -1, dtype=np.int64)
+    starts = np.cumsum(weights) - weights
+    total = int(starts[-1]) + 1
+    for lo in range(0, total, _BLOCK):
+        i = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
+        lead = np.searchsorted(starts, i, side="right") - 1
+        pts = (i - starts[lead])[:, None] // weights % q
+        pts[np.arange(i.size), lead] = 1
+        yield pts
 
-    Linear forms get a direct dot-product path; the shared power table is
-    built lazily, only when a point survives every linear form.
-    """
-    prepped = []
+
+def _common_zeros(forms, field: Field, emb, pts):
+    """The rows of the point block pts at which every form vanishes, in
+    order; coefficients are embedded into field through emb."""
     for f in sorted(forms, key=lambda f: (f.degree, len(f.terms))):
-        terms = [(e, emb[c]) for e, c in f.terms.items()]
-        if f.degree <= 1:
-            lin = [(next(j for j, ej in enumerate(e) if ej), c)
-                   for e, c in terms]
-            prepped.append((True, lin))
-        else:
-            prepped.append((False, terms))
-    return prepped
-
-
-def _vanishes_at(field: Field, prepped, point, maxdeg: int) -> bool:
-    add, mul = field.add, field.mul
-    powtab = None
-    for is_linear, terms in prepped:
-        acc = 0
-        if is_linear:
-            for j, c in terms:
-                acc = add(acc, mul(c, point[j]))
-        else:
-            if powtab is None:
-                powtab = []
-                for xj in point:
-                    row = [1, xj]
-                    for _ in range(maxdeg - 1):
-                        row.append(mul(row[-1], xj))
-                    powtab.append(row)
-            for e, c in terms:
-                t = c
-                for j, ej in enumerate(e):
-                    if ej:
-                        t = mul(t, powtab[j][ej])
-                acc = add(acc, t)
-        if acc:
-            return False
-    return True
-
-
-def count_common_zeros(forms, field: Field, n: int, ext_degree: int = 1) -> int:
-    """Number of common zeros in P^n(F_{q^m}) of forms defined over F_q."""
-    ext, emb = field.extension(ext_degree)
-    prepped = _prep_forms(forms, emb)
-    maxdeg = max((f.degree for f in forms), default=1)
-    return sum(1 for x in projective_points(ext, n)
-               if _vanishes_at(ext, prepped, x, maxdeg))
+        if not f.terms:
+            continue  # an identically zero form vanishes everywhere
+        x = pts.T
+        acc = np.zeros(len(pts), dtype=np.int64)
+        for e, c in f.terms.items():
+            t = None if emb[c] == 1 else emb[c]  # None: the coefficient 1
+            for j, ej in enumerate(e):
+                for _ in range(ej):
+                    t = x[j] if t is None else field.mul(t, x[j])
+            acc = field.add(acc, 1 if t is None else t)
+        pts = pts[acc == 0]
+        if not len(pts):
+            break
+    return pts
 
 
 def count_zf_points(system: PolySystem, ext_degree: int = 1) -> int:
     """F_{q^m}-rational points of Z(f) in projective n-space."""
-    return count_common_zeros(system.forms, system.field,
-                              system.pattern.n, ext_degree)
+    ext, emb = system.field.extension(ext_degree)
+    return sum(len(_common_zeros(system.forms, ext, emb, pts))
+               for pts in _point_blocks(ext, system.pattern.n))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +201,7 @@ def brute_force_empty(ts: TestSystem, max_ext: int | None = None,
     n = ts.nvars - 1
     field = ts.field
     if max_ext is None:
-        prod = 1
-        for e in ts.degrees:
-            prod *= e
-        max_ext = max(prod, 4)
+        max_ext = max(math.prod(ts.degrees), 4)
     if max_ext < 1:
         raise SearchSpaceTooLarge("max_ext must be at least 1")
     total = sum(projective_count(n, field.q ** m)
@@ -223,13 +209,13 @@ def brute_force_empty(ts: TestSystem, max_ext: int | None = None,
     if total > point_cap:
         raise SearchSpaceTooLarge(
             f"{total} points over extensions up to {max_ext} exceed cap {point_cap}")
-    maxdeg = max((f.degree for f in ts.forms), default=1)
     for m in range(1, max_ext + 1):
         ext, emb = field.extension(m)
-        prepped = _prep_forms(ts.forms, emb)
-        for x in projective_points(ext, n):
-            if _vanishes_at(ext, prepped, x, maxdeg):
-                return BruteForceVerdict(nonempty=True, witness=x,
+        for pts in _point_blocks(ext, n):
+            zeros = _common_zeros(ts.forms, ext, emb, pts)
+            if len(zeros):
+                return BruteForceVerdict(nonempty=True,
+                                         witness=tuple(map(int, zeros[0])),
                                          ext_degree=m, searched_up_to=m)
     return BruteForceVerdict(nonempty=False, witness=None,
                              ext_degree=None, searched_up_to=max_ext)
@@ -594,10 +580,7 @@ def oracle_check(trials: int, seed, *, point_cap: int = DEFAULT_POINT_CAP,
             forms = [_random_form(rng, field, n + 1, e) for e in degrees]
         ts = TestSystem("oracle", field, n + 1, tuple(forms), degrees)
         mac = projective_empty(ts)
-        prod = 1
-        for e in degrees:
-            prod *= e
-        requested = max(prod, 4)
+        requested = max(math.prod(degrees), 4)
         used = min(requested, feasible_max_ext(field, n, point_cap, requested))
         used = max(used, 1)
         brute = brute_force_empty(ts, max_ext=used, point_cap=point_cap * 2)

@@ -7,12 +7,13 @@ packed in base p as c_0 + c_1*p + ... + c_{k-1}*p^(k-1).  The encoding
 is canonical: distinct integers are distinct elements, 0 and 1 are the
 additive and multiplicative identities in every field.
 
-Addition works digit by digit.  An extension field multiplies through
-exp/log tables of its first primitive element in encoding order (Lidl and
-Niederreiter, Finite Fields, ch. 9), built on the first multiplication,
-shared by every Field with the same (p, k, modulus) and capped at
-q <= 2^20.  add, neg, sub, mul and submul take encodings as Python ints,
-returning ints, or as the int64 arrays of the elimination kernel.
+Addition works digit by digit, on a prime field in one step.  An
+extension field multiplies through exp/log tables of its first primitive
+element in encoding order (Lidl and Niederreiter, Finite Fields, ch. 9),
+built on the first multiplication, shared by every Field with the same
+(p, k, modulus) and capped at q <= 2^20.  add, neg, sub, mul and submul
+take encodings as Python ints, returning ints, or as int64 arrays (the
+elimination kernel's rows, the point search's blocks).
 """
 
 from __future__ import annotations
@@ -281,6 +282,8 @@ class Field:
     # Operands are encodings as Python ints or int64 arrays.
 
     def add(self, a, b):
+        if self.k == 1:
+            return (a + b) % self.p
         p = self.p
         out = 0
         for w in self._weights:

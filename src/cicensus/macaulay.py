@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ArityMismatch, EmptyInput, MixedFields
 from .field import Field
-from .poly import (CERTS, Poly, PolySystem, TestSystem, build_test_system,
+from .poly import (Poly, PolySystem, TestSystem, build_test_system,
                    cert_recipe, monomial_index, monomials)
 
 
@@ -175,7 +175,3 @@ def certify(system: PolySystem, cert: str) -> bool:
     condition only.
     """
     return decide(system, cert).empty
-
-
-def certify_all(system: PolySystem, certs=CERTS):
-    return {cert: certify(system, cert) for cert in certs}

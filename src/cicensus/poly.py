@@ -14,6 +14,7 @@ degree sigma may collapse to zero in small characteristic).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .errors import (ArityMismatch, FormatError, IncompatibleFields,
@@ -302,18 +303,11 @@ class DegreePattern:
 
     @property
     def delta(self) -> int:
-        out = 1
-        for x in self.d:
-            out *= x
-        return out
+        return math.prod(self.d)
 
     @property
     def sigma(self) -> int:
         return sum(x - 1 for x in self.d)
-
-    def coeff_counts(self):
-        """Number of degree-d_i monomials in n+1 variables, per form."""
-        return tuple(len(monomials(self.n + 1, di)) for di in self.d)
 
 
 @dataclass(frozen=True)
@@ -400,13 +394,37 @@ def determinant(rows, field: Field, nvars: int, degree: int) -> Poly:
     return Poly(field, nvars, degree, dict(result.terms))
 
 
+def _directional(f: Poly, v) -> Poly:
+    """sum_j v_j df/dX_j for integers v_j, read in the prime subfield."""
+    acc = Poly.zero(f.field, f.nvars, max(f.degree - 1, 0))
+    for j, vj in enumerate(v):
+        acc = acc + f.partial(j).scale(f.field.from_int(vj))
+    return acc
+
+
 def jacobian_minor(system: PolySystem, k: int) -> Poly:
-    """s x s minor J_k: partials of the forms along X_1..X_{s-1}, X_{k-1}."""
+    """s x s minor J_k of the Jacobian J = (df_i/dX_j).
+
+    Its last column is the partials along X_{k-1}.  For k <= s + 2 the
+    first s - 1 are the partials along X_1..X_{s-1}.  For k >= s + 3,
+    which exists only when n - s >= 2, they are the derivatives along the
+    Vandermonde directions (1, t, ..., t^n) mod p, t = k s + c for
+    c = 1..s-1, which belong to this k alone: columns shared by every
+    minor would make all of them vanish where that s x (s-1) block drops
+    rank, a codimension-2 locus that meets Z(f) when n - s >= 2.  Either
+    way J_k = det(J M) for a fixed (n+1) x s matrix M, so J_k vanishes on
+    Sing Z(f), where J has rank below s, in any characteristic, and it
+    has degree sigma.
+    """
     n, s = system.pattern.n, system.pattern.s
     if not s + 1 <= k <= n + 1:
         raise IndexOutOfRange(f"k={k} outside [{s + 1}, {n + 1}]")
-    cols = list(range(1, s)) + [k - 1]
-    rows = [[f.partial(j) for j in cols] for f in system.forms]
+    if k <= s + 2:
+        cols = [[f.partial(j) for j in range(1, s)] for f in system.forms]
+    else:
+        cols = [[_directional(f, [(k * s + c) ** j for j in range(n + 1)])
+                 for c in range(1, s)] for f in system.forms]
+    rows = [row + [f.partial(k - 1)] for row, f in zip(cols, system.forms)]
     return determinant(rows, system.field, n + 1, system.pattern.sigma)
 
 

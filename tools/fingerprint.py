@@ -1,0 +1,96 @@
+"""Print one sha256 per fixed case of cicensus output.
+
+Run it on two checkouts and compare the lines: a change that keeps every
+report byte-identical prints the same hashes.
+
+    python3 tools/fingerprint.py            # every case
+    python3 tools/fingerprint.py census     # cases whose label starts so
+
+The cases are census JSON (``include_volatile=False, keep_trials=True``,
+with point counts where P^n(F_q) is small enough to scan), the records
+of ``oracle_check(60, 7)`` and ``cicensus test`` on each committed
+system of ``cibench/systems``, one certificate at a time.  The package
+is imported from the ``src`` beside this script, so the hashes belong
+to that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a
+6237x3003 matrix and takes about 90 of the run's 100 s on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from cicensus import (CERTS, oracle_check, parse_system_file,  # noqa: E402
+                      run_census)
+from cicensus.cli import main as cli_main  # noqa: E402
+
+# (label, n, s, d, q, mode, trials, seed, certs, count_points)
+CENSUS_CASES = (
+    ("census-3-2-21-q16", 3, 2, (2, 1), 16, "monte_carlo", 30, 5, CERTS, True),
+    ("census-3-2-21-q101", 3, 2, (2, 1), 101, "monte_carlo", 30, 5, CERTS,
+     False),
+    ("census-3-2-21-q101-points", 3, 2, (2, 1), 101, "monte_carlo", 3, 5,
+     CERTS, True),
+    ("census-3-2-22-q1009", 3, 2, (2, 2), 1009, "monte_carlo", 30, 5, CERTS,
+     False),
+    ("census-4-2-22-q1009", 4, 2, (2, 2), 1009, "monte_carlo", 30, 1,
+     ("stci", "ci", "irr"), False),
+    ("census-4-2-22-q1009-nons", 4, 2, (2, 2), 1009, "monte_carlo", 30, 1,
+     ("nons",), False),
+    ("census-exhaustive-2-1-2-q3", 2, 1, (2,), 3, "exhaustive", None, None,
+     CERTS, True),
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _census(n, s, d, q, mode, trials, seed, certs, count_points):
+    report = run_census(n, s, d, q, mode, trials=trials, seed=seed,
+                        certs=certs, count_points=count_points,
+                        keep_trials=True)
+    return report.to_json(include_volatile=False)
+
+
+def _oracle():
+    report = oracle_check(60, 7, keep_records=True)
+    return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+def _cli_test(path: Path, cert: str):
+    field = parse_system_file(path.read_text()).field.spec_str()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["test", "--field", field, "--system", str(path),
+                         "--cert", cert])
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def cases():
+    """(label, thunk returning the text to hash), in a fixed order."""
+    for label, *args in CENSUS_CASES:
+        yield label, lambda args=args: _census(*args)
+    yield "oracle-60-7", _oracle
+    for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
+        for cert in CERTS:
+            yield (f"test-{path.stem}-{cert}",
+                   lambda path=path, cert=cert: _cli_test(path, cert))
+
+
+def main(argv) -> int:
+    for label, thunk in cases():
+        if not argv or any(label.startswith(a) for a in argv):
+            print(f"{_sha(thunk())}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
