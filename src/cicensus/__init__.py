@@ -30,10 +30,10 @@ from .errors import (ArityMismatch, CicensusError, DegreeMismatch,
                      PatternViolation, ReducibleModulus, SearchSpaceTooLarge,
                      TooLarge, UnsupportedCertificate)
 from .field import Field, field_from_order, is_prime, parse_field_spec
-from .macaulay import (EmptinessVerdict, MacaulayInstance, certify,
-                       coordinate_slice, decide, macaulay_degree,
-                       macaulay_instance, projective_empty, rank_over_field)
+from .macaulay import (EmptinessVerdict, certify, coordinate_slice, decide,
+                       macaulay_degree, macaulay_instance, projective_empty,
+                       rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    build_test_system, cert_recipe, compose_linear,
-                   jacobian_det, jacobian_minor, monomial_index, monomials,
-                   parse_system_file, poly_parse, system_file_text)
+                   jacobian_det, jacobian_minor, monomials, parse_system_file,
+                   poly_parse, shift_index, system_file_text)

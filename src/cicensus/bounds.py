@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import HypothesisViolated, PatternViolation
+from .field import _prime_factors
 from .poly import CERTS, DegreePattern, cert_recipe
 
 # ---------------------------------------------------------------------------
@@ -146,15 +147,6 @@ def multihomog_zero_bound(d, n, q: int) -> int:
 # Varying-degree combinatorics
 
 
-def _smallest_prime_factor(b: int) -> int:
-    f = 2
-    while f * f <= b:
-        if b % f == 0:
-            return f
-        f += 1
-    return b
-
-
 @dataclass(frozen=True)
 class GOfB:
     b: int
@@ -173,7 +165,7 @@ def g_of_b(b: int, n: int) -> GOfB:
     """
     if b < 2 or n < 2:
         raise PatternViolation("need b >= 2 and n >= 2")
-    rho = _smallest_prime_factor(b)
+    rho = _prime_factors(b)[0]
     if rho == b:
         value, rho_out = 0, None
     else:

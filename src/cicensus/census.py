@@ -38,7 +38,7 @@ from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
 from .macaulay import certify, projective_empty, rank_over_field
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
-                   monomials)
+                   monomials, shift_index)
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_POINT_CAP = 200_000
@@ -248,29 +248,20 @@ def brute_force_absirr(f: Poly, max_ext: int | None = None,
     if candidates > factor_cap:
         raise SearchSpaceTooLarge(
             f"{candidates} candidate factors exceed cap {factor_cap}")
-    mons_f = monomials(nv, deg)
-    f_index = {e: i for i, e in enumerate(mons_f)}
+    f_vec = [f.terms.get(x, 0) for x in monomials(nv, deg)]
     for m in range(1, max_ext + 1):
         ext, emb = field.extension(m)
-        f_vec = [0] * len(mons_f)
-        for e, c in f.terms.items():
-            f_vec[f_index[e]] = emb[c]
         for a in range(1, deg // 2 + 1):
-            mons_a = monomials(nv, a)
-            mons_b = monomials(nv, deg - a)
-            for g_vec in projective_points(ext, len(mons_a) - 1):
-                # columns g * m_b, then f; the first len(mons_b) are
-                # independent because g != 0, so g divides f iff f adds
-                # nothing to their rank
-                rows = [[0] * len(mons_b) + [v] for v in f_vec]
-                for ia, ea in enumerate(mons_a):
-                    ga = g_vec[ia]
-                    if not ga:
-                        continue
-                    for ib, eb in enumerate(mons_b):
-                        tgt = tuple(x + y for x, y in zip(ea, eb))
-                        rows[f_index[tgt]][ib] = ga
-                if rank_over_field(rows, ext) == len(mons_b):
+            # rows g * m_b over the degree-deg monomials, then f; the
+            # first nb are independent because g != 0, so g divides f
+            # iff f adds nothing to their rank
+            shift = shift_index(nv, deg, a)
+            nb = len(shift)
+            rows = np.zeros((nb + 1, len(f_vec)), dtype=np.int64)
+            rows[nb] = [emb[c] for c in f_vec]
+            for g_vec in projective_points(ext, shift.shape[1] - 1):
+                rows[np.arange(nb)[:, None], shift] = g_vec
+                if rank_over_field(rows, ext) == nb:
                     return False
     return True
 

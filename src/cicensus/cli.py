@@ -21,7 +21,8 @@ from fractions import Fraction
 from . import __version__
 from .bounds import (bounds_report, degree_bounds, pattern_landscape,
                      pattern_stats, recipe_macaulay_degree)
-from .census import oracle_check, run_census
+from .census import (DEFAULT_EXHAUSTIVE_CAP, DEFAULT_POINT_CAP, oracle_check,
+                     run_census)
 from .chow import chow_class, extract_bound, top_coefficient
 from .errors import CicensusError
 from .field import parse_field_spec
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_flags(p)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--cert", default="all")
-    p.add_argument("--cap", type=int, default=10_000_000,
+    p.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                    help="refuse enumerations larger than this")
     p.add_argument("--count-points", action="store_true")
     p.add_argument("--keep-trials", action="store_true")
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emptiness gate vs brute-force point search")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", default=0)
-    p.add_argument("--point-cap", type=int, default=200_000)
+    p.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
     p.add_argument("--keep-records", action="store_true")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_oracle)

@@ -204,11 +204,13 @@ def _exp_log(p, k, modulus):
     return (exp, log), (memoryview(exp), memoryview(log))
 
 
+_EXTENSIONS = {}  # (p, k, modulus, m) -> Field.extension(m) of that field
+
+
 class Field:
     """The finite field F_q, q = p^k, acting on integer-encoded elements."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_weights", "_tables",
-                 "_extensions")
+    __slots__ = ("p", "k", "q", "modulus", "_weights", "_tables")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         if not is_prime(p):
@@ -240,7 +242,6 @@ class Field:
         self.q = p ** k
         self._weights = tuple(p ** i for i in range(k))
         self._tables = None
-        self._extensions = {}
 
     # -- identity -----------------------------------------------------------
 
@@ -345,14 +346,16 @@ class Field:
         """Return (E, emb) with E = F_{q^m} and emb the embedding table.
 
         emb maps every encoding of this field to its image in E.  Results
-        are cached, so repeated requests return identical Field objects.
+        are cached by (p, k, modulus, m), so repeated requests, also from
+        equal fields, return identical Field objects.
         """
         if m < 1:
             raise DegreeMismatch("extension degree must be >= 1")
         if m == 1:
             return self, list(range(self.q))
-        if m in self._extensions:
-            return self._extensions[m]
+        key = (self.p, self.k, self.modulus, m)
+        if key in _EXTENSIONS:
+            return _EXTENSIONS[key]
         ext = Field(self.p, self.k * m)
         if self.k == 1:
             emb = list(range(self.p))
@@ -375,7 +378,7 @@ class Field:
                     img = ext.add(img, ext.mul(c, rp))
                     rp = ext.mul(rp, root)
                 emb.append(img)
-        self._extensions[m] = (ext, emb)
+        _EXTENSIONS[key] = (ext, emb)
         return ext, emb
 
     # -- parsing ------------------------------------------------------------
@@ -405,20 +408,10 @@ def parse_field_spec(spec: str) -> Field:
 
 def field_from_order(q: int) -> Field:
     """Build F_q from its cardinality, which must be a prime power."""
-    if q < 2:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise NotPrime(f"{q} is not a prime power")
-    p = q
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            p = f
-            break
-        f += 1
-    k = 0
-    v = q
-    while v % p == 0 and v > 1:
-        v //= p
+    p, k = factors[0], 1
+    while p ** k < q:
         k += 1
-    if v != 1 or p ** k != q:
-        raise NotPrime(f"{q} is not a prime power")
     return Field(p, k)

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, EmptyInput, MixedFields
+from .errors import ArityMismatch, DegreeMismatch, EmptyInput, MixedFields
 from .field import Field
 from .poly import (Poly, PolySystem, TestSystem, build_test_system,
-                   cert_recipe, monomial_index, monomials)
+                   cert_recipe, monomials, shift_index)
 
 
 def macaulay_degree(degrees) -> int:
@@ -57,26 +57,12 @@ class EmptinessVerdict:
         return self.ncols - self.rank
 
 
-@dataclass(frozen=True)
-class MacaulayInstance:
-    """Multiplication matrix of a test system at its Macaulay degree.
-
-    Columns are indexed by the degree-N monomials in canonical order; the
-    rows are the coefficient vectors of m * g_j over all multiplier
-    monomials m of degree N - deg(g_j).
-    """
-
-    degrees: tuple
-    degree: int   # N = sum(e_j - 1) + 1
-    ncols: int    # C(N + n, n)
-    rows: tuple
-
-
 def rank_over_field(rows, field: Field) -> int:
-    """Row-echelon rank of a dense matrix of element encodings over F_q."""
-    if not rows:
-        return 0
+    """Row-echelon rank of a dense matrix of element encodings over F_q,
+    given as lists or an array; the kernel eliminates in a copy."""
     a = np.array(rows, dtype=np.int64)
+    if not a.size:
+        return 0
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
@@ -97,22 +83,26 @@ def rank_over_field(rows, field: Field) -> int:
     return r
 
 
-def macaulay_instance(ts: TestSystem) -> MacaulayInstance:
-    """Build the degree-N multiplication matrix for a test system."""
-    nvars = ts.nvars
-    n_deg = macaulay_degree(ts.degrees)
-    cols = monomial_index(nvars, n_deg)
-    ncols = len(cols)
-    rows = []
-    for form, e in zip(ts.forms, ts.degrees):
-        for mult in monomials(nvars, n_deg - e):
-            row = [0] * ncols
-            for exp, c in form.terms.items():
-                target = tuple(a + b for a, b in zip(mult, exp))
-                row[cols[target]] = c
-            rows.append(row)
-    return MacaulayInstance(degrees=tuple(ts.degrees), degree=n_deg,
-                            ncols=ncols, rows=tuple(rows))
+def macaulay_instance(ts: TestSystem):
+    """The degree-N multiplication matrix of a test system, as int64.
+
+    Columns are the degree-N monomials in canonical order; the rows of
+    form g_j are the coefficient vectors of m * g_j for the multipliers m
+    of degree N - deg(g_j) in canonical order, scattered through
+    shift_index.
+    """
+    nvars, n_deg = ts.nvars, macaulay_degree(ts.degrees)
+    shifts = [shift_index(nvars, n_deg, e) for e in ts.degrees]
+    a = np.zeros((sum(len(sh) for sh in shifts),
+                  len(monomials(nvars, n_deg))), dtype=np.int64)
+    r = 0
+    for form, e, sh in zip(ts.forms, ts.degrees, shifts):
+        # the positions m * x_j of one row are distinct, so zero
+        # coefficients may be written too
+        a[np.arange(r, r + len(sh))[:, None], sh] = [
+            form.terms.get(x, 0) for x in monomials(nvars, e)]
+        r += len(sh)
+    return a
 
 
 def projective_empty(ts: TestSystem) -> EmptinessVerdict:
@@ -120,20 +110,23 @@ def projective_empty(ts: TestSystem) -> EmptinessVerdict:
     if len(ts.forms) != ts.nvars:
         raise ArityMismatch(
             f"{len(ts.forms)} forms in {ts.nvars} variables; need n+1 forms")
-    for f in ts.forms:
+    for f, e in zip(ts.forms, ts.degrees):
         if f.field != ts.field:
             raise MixedFields("all forms must live in one field")
         if f.nvars != ts.nvars:
             raise ArityMismatch("form arity differs from the test system")
+        if f.terms and f.degree != e:
+            raise DegreeMismatch(f"a form of degree {f.degree} is listed "
+                                 f"with degree {e}")
     n_deg = macaulay_degree(ts.degrees)
     if any(f.is_zero() for f in ts.forms):
         return EmptinessVerdict(empty=False, rank=0, degree=n_deg,
                                 nrows=0, ncols=len(monomials(ts.nvars, n_deg)))
-    inst = macaulay_instance(ts)
-    rank = rank_over_field(inst.rows, ts.field)
-    return EmptinessVerdict(empty=(rank == inst.ncols), rank=rank,
-                            degree=inst.degree, nrows=len(inst.rows),
-                            ncols=inst.ncols)
+    a = macaulay_instance(ts)
+    nrows, ncols = a.shape
+    rank = rank_over_field(a, ts.field)
+    return EmptinessVerdict(empty=(rank == ncols), rank=rank, degree=n_deg,
+                            nrows=nrows, ncols=ncols)
 
 
 def coordinate_slice(ts: TestSystem, coords) -> TestSystem:

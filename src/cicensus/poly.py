@@ -17,6 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (ArityMismatch, FormatError, IncompatibleFields,
                      IndexOutOfRange, InhomogeneousInput, PatternViolation,
                      UnsupportedCertificate)
@@ -44,8 +46,16 @@ def monomials(nvars: int, degree: int):
 
 
 @functools.lru_cache(maxsize=None)
-def monomial_index(nvars: int, degree: int):
-    return {e: i for i, e in enumerate(monomials(nvars, degree))}
+def shift_index(nvars: int, degree: int, e: int):
+    """Read-only int array whose entry [i, j] is the position of m_i * x_j
+    in monomials(nvars, degree), for m_i in monomials(nvars, degree - e)
+    and x_j in monomials(nvars, e)."""
+    pos = {x: i for i, x in enumerate(monomials(nvars, degree))}
+    table = np.array([[pos[tuple(a + b for a, b in zip(m, x))]
+                       for x in monomials(nvars, e)]
+                      for m in monomials(nvars, degree - e)], dtype=np.int64)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 class Poly:
@@ -238,13 +248,14 @@ def embedding_table(base: Field, ext: Field):
     """Embedding of base into ext, or IncompatibleFields if unknown.
 
     Prime subfields embed identically under the integer encoding; other
-    embeddings must have been created through base.extension(m).
+    embeddings are those of base.extension(m), for ext equal to its field.
     """
     if base == ext:
         return None
     if base.k == 1 and ext.p == base.p:
         return list(range(base.p))
-    for e, emb in base._extensions.values():
+    if ext.p == base.p and ext.k % base.k == 0:
+        e, emb = base.extension(ext.k // base.k)
         if e == ext:
             return emb
     raise IncompatibleFields(

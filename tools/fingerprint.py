@@ -8,8 +8,10 @@ report byte-identical prints the same hashes.
 
 The cases are census JSON (``include_volatile=False, keep_trials=True``,
 with point counts where P^n(F_q) is small enough to scan), the records
-of ``oracle_check(60, 7)`` and ``cicensus test`` on each committed
-system of ``cibench/systems``, one certificate at a time.  The package
+of ``oracle_check(60, 7)``, the ``brute_force_absirr`` verdicts for
+every conic over F_2 and F_3 in enumeration order, and ``cicensus
+test`` on each committed system of ``cibench/systems``, one certificate
+at a time.  The package
 is imported from the ``src`` beside this script, so the hashes belong
 to that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a
 6237x3003 matrix and takes about 90 of the run's 100 s on two cores.
@@ -27,7 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from cicensus import (CERTS, oracle_check, parse_system_file,  # noqa: E402
+from cicensus import (CERTS, brute_force_absirr,  # noqa: E402
+                      enumerate_systems, oracle_check, parse_system_file,
                       run_census)
 from cicensus.cli import main as cli_main  # noqa: E402
 
@@ -65,6 +68,12 @@ def _oracle():
     return json.dumps(report.to_json_dict(), sort_keys=True)
 
 
+def _absirr_conics():
+    return "".join(str(int(brute_force_absirr(system.forms[0])))
+                   for q in (2, 3)
+                   for system in enumerate_systems(2, 1, (2,), q))
+
+
 def _cli_test(path: Path, cert: str):
     field = parse_system_file(path.read_text()).field.spec_str()
     out = io.StringIO()
@@ -79,6 +88,7 @@ def cases():
     for label, *args in CENSUS_CASES:
         yield label, lambda args=args: _census(*args)
     yield "oracle-60-7", _oracle
+    yield "absirr-conics-q2-q3", _absirr_conics
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
             yield (f"test-{path.stem}-{cert}",
