@@ -65,7 +65,8 @@ def _random_form(rng, field, nvars, degree):
     while True:
         vec = [rng.randrange(field.q) for _ in mons]
         if any(vec):
-            return Poly.from_terms(field, nvars, zip(mons, vec), degree=degree)
+            return Poly(field, nvars, degree,
+                        {m: c for m, c in zip(mons, vec) if c})
 
 
 def sample_system(n: int, s: int, d, q: int, seed) -> PolySystem:
@@ -103,8 +104,8 @@ def enumerate_systems(n: int, s: int, d, q: int,
                 yield (head,) + tail
 
     for vecs in rec(0):
-        forms = tuple(Poly.from_terms(field, n + 1, zip(mon_lists[i], vecs[i]),
-                                      degree=pattern.d[i])
+        forms = tuple(Poly(field, n + 1, pattern.d[i],
+                           {m: c for m, c in zip(mon_lists[i], vecs[i]) if c})
                       for i in range(s))
         yield PolySystem(pattern=pattern, field=field, forms=forms)
 
@@ -126,8 +127,11 @@ def _point_blocks(field: Field, n: int):
     """P^n(F_q) as int64 arrays of at most _BLOCK rows, in the order of
     projective_points.  weights[L] = q^(n-L) points have lead L, from
     starts[L] on; point i has the largest L with starts[L] <= i, and its
-    coordinates after X_L are i - starts[L] written in base q."""
+    coordinates after X_L are i - starts[L] written in base q.  A space
+    of 2^63 points or more cannot be indexed so and raises TooLarge."""
     q = field.q
+    if projective_count(n, q) >= 2 ** 63:
+        raise TooLarge(f"P^{n}(F_{q}) has too many points to index in int64")
     weights = q ** np.arange(n, -1, -1, dtype=np.int64)
     starts = np.cumsum(weights) - weights
     total = int(starts[-1]) + 1
@@ -519,9 +523,7 @@ def _rooted_form(rng, field, nvars, degree, point):
         if v:
             # anchor monomial evaluates to 1 at the point, so shifting its
             # coefficient by -v zeroes the value
-            shift = Poly.from_terms(field, nvars, [(anchor, field.neg(v))],
-                                    degree=degree)
-            f = f + shift
+            f = f + Poly.monomial(field, nvars, anchor, field.neg(v))
         if not f.is_zero():
             return f
 
@@ -572,13 +574,11 @@ def oracle_check(trials: int, seed, *, point_cap: int = DEFAULT_POINT_CAP,
         ts = TestSystem("oracle", field, n + 1, tuple(forms), degrees)
         mac = projective_empty(ts)
         requested = max(math.prod(degrees), 4)
-        used = min(requested, feasible_max_ext(field, n, point_cap, requested))
-        used = max(used, 1)
+        used = max(feasible_max_ext(field, n, point_cap, requested), 1)
         brute = brute_force_empty(ts, max_ext=used, point_cap=point_cap * 2)
         if not mac.empty and not brute.nonempty and used < requested:
             # gate says a zero exists over the closure; look deeper once
-            deeper = min(requested,
-                         feasible_max_ext(field, n, point_cap * 20, requested))
+            deeper = feasible_max_ext(field, n, point_cap * 20, requested)
             if deeper > used:
                 brute = brute_force_empty(ts, max_ext=deeper,
                                           point_cap=point_cap * 40)

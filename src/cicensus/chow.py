@@ -13,8 +13,11 @@ leading homogeneity weight.  Coefficients are arbitrary-precision.
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 from .errors import IndexOutOfRange, UnsupportedCertificate
-from .poly import DegreePattern, cert_recipe
+from .poly import DegreePattern, _collect, cert_recipe
 
 
 class ChowClass:
@@ -43,28 +46,14 @@ class ChowClass:
 
     def __mul__(self, other):
         cap = self.n + 1
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                if e1[0] + e2[0] > cap:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return ChowClass(self.n, self.s, out)
+        return ChowClass(self.n, self.s, _collect(operator.add, (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.coeffs.items()
+            for e2, c2 in other.coeffs.items() if e1[0] + e2[0] <= cap)))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return ChowClass(self.n, self.s, out)
+        return ChowClass(self.n, self.s, _collect(operator.add, itertools.chain(
+            self.coeffs.items(), other.coeffs.items())))
 
     def __pow__(self, e: int):
         acc = ChowClass.one(self.n, self.s)

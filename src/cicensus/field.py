@@ -352,7 +352,7 @@ class Field:
         if m < 1:
             raise DegreeMismatch("extension degree must be >= 1")
         if m == 1:
-            return self, list(range(self.q))
+            return self, range(self.q)
         key = (self.p, self.k, self.modulus, m)
         if key in _EXTENSIONS:
             return _EXTENSIONS[key]

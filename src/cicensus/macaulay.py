@@ -107,9 +107,6 @@ def macaulay_instance(ts: TestSystem):
 
 def projective_empty(ts: TestSystem) -> EmptinessVerdict:
     """Decide whether the test system's zero set in P^n is empty over the closure."""
-    if len(ts.forms) != ts.nvars:
-        raise ArityMismatch(
-            f"{len(ts.forms)} forms in {ts.nvars} variables; need n+1 forms")
     for f, e in zip(ts.forms, ts.degrees):
         if f.field != ts.field:
             raise MixedFields("all forms must live in one field")

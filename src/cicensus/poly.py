@@ -14,6 +14,7 @@ degree sigma may collapse to zero in small characteristic).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,15 @@ def shift_index(nvars: int, degree: int, e: int):
     return table
 
 
+def _collect(add, pairs) -> dict:
+    """The canonical terms of (exponent, coefficient) pairs: coefficients
+    of equal exponents summed with add, zero coefficients dropped."""
+    terms = {}
+    for e, c in pairs:
+        terms[e] = add(terms[e], c) if e in terms else c
+    return {e: c for e, c in terms.items() if c}
+
+
 class Poly:
     """Homogeneous polynomial; terms map exponent tuples to nonzero encodings."""
 
@@ -81,7 +91,7 @@ class Poly:
         is taken from the raw input so full cancellation still yields a
         zero polynomial of the right nominal degree.
         """
-        terms = {}
+        checked = []
         for exp, c in pairs:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
@@ -100,12 +110,9 @@ class Poly:
             elif not 0 <= c < field.q:
                 raise ValueError(
                     f"coefficient {c} is not an encoding of a {field.spec_str()} element")
-            if exp in terms:
-                terms[exp] = field.add(terms[exp], c)
-            else:
-                terms[exp] = c
-        terms = {e: c for e, c in terms.items() if c != 0}
-        return cls(field, nvars, 0 if degree is None else degree, terms)
+            checked.append((exp, c))
+        return cls(field, nvars, 0 if degree is None else degree,
+                   _collect(field.add, checked))
 
     @classmethod
     def monomial(cls, field, nvars, exp, coeff=1):
@@ -140,15 +147,9 @@ class Poly:
             raise InhomogeneousInput(
                 f"cannot add degrees {self.degree} and {other.degree}")
         deg = other.degree if self.is_zero() else self.degree
-        f = self.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = f.add(terms.get(e, 0), c)
-            if v:
-                terms[e] = v
-            else:
-                terms.pop(e, None)
-        return Poly(f, self.nvars, deg, terms)
+        return Poly(self.field, self.nvars, deg,
+                    _collect(self.field.add, itertools.chain(
+                        self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         f = self.field
@@ -162,16 +163,10 @@ class Poly:
         self._check_compat(other)
         f = self.field
         deg = self.degree + other.degree
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = f.add(terms.get(e, 0), f.mul(c1, c2))
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
-        return Poly(f, self.nvars, deg, terms)
+        return Poly(f, self.nvars, deg, _collect(f.add, (
+            (tuple(a + b for a, b in zip(e1, e2)), f.mul(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items())))
 
     def scale(self, c):
         f = self.field
@@ -186,21 +181,9 @@ class Poly:
             raise IndexOutOfRange(f"variable index {j} out of range")
         f = self.field
         deg = max(self.degree - 1, 0)
-        terms = {}
-        for e, c in self.terms.items():
-            ej = e[j]
-            if ej == 0:
-                continue
-            m = f.mul(c, f.from_int(ej))
-            if m == 0:
-                continue
-            ne = e[:j] + (ej - 1,) + e[j + 1:]
-            v = f.add(terms.get(ne, 0), m)
-            if v:
-                terms[ne] = v
-            else:
-                terms.pop(ne, None)
-        return Poly(f, self.nvars, deg, terms)
+        return Poly(f, self.nvars, deg, _collect(f.add, (
+            (e[:j] + (e[j] - 1,) + e[j + 1:], f.mul(c, f.from_int(e[j])))
+            for e, c in self.terms.items() if e[j])))
 
     def eval_at(self, point, field: Field | None = None) -> int:
         """Exact value at a point, optionally over an extension field."""
@@ -377,11 +360,6 @@ def determinant(rows, field: Field, nvars: int, degree: int) -> Poly:
 
     The declared degree is kept even when the expansion cancels to zero.
     """
-    size = len(rows)
-    if size == 1:
-        f = rows[0][0]
-        return Poly(field, nvars, degree, dict(f.terms))
-
     def expand(r, cols):
         if len(cols) == 1:
             return rows[r][cols[0]]
@@ -401,7 +379,7 @@ def determinant(rows, field: Field, nvars: int, degree: int) -> Poly:
             return Poly.zero(field, nvars, deg)
         return acc
 
-    result = expand(0, list(range(size)))
+    result = expand(0, list(range(len(rows))))
     return Poly(field, nvars, degree, dict(result.terms))
 
 

@@ -9,9 +9,11 @@ report byte-identical prints the same hashes.
 The cases are census JSON (``include_volatile=False, keep_trials=True``,
 with point counts where P^n(F_q) is small enough to scan), the records
 of ``oracle_check(60, 7)``, the ``brute_force_absirr`` verdicts for
-every conic over F_2 and F_3 in enumeration order, and ``cicensus
-test`` on each committed system of ``cibench/systems``, one certificate
-at a time.  The package
+every conic over F_2 and F_3 in enumeration order, the polynomials
+themselves (``terms``: every Jacobian minor J_k of seeded systems and
+the ``chow_class`` coefficients), and ``cicensus test`` on each
+committed system of ``cibench/systems``, one certificate at a time.
+The package
 is imported from the ``src`` beside this script, so the hashes belong
 to that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a
 6237x3003 matrix and takes about 90 of the run's 100 s on two cores.
@@ -30,8 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from cicensus import (CERTS, brute_force_absirr,  # noqa: E402
-                      enumerate_systems, oracle_check, parse_system_file,
-                      run_census)
+                      chow_class, enumerate_systems, jacobian_minor,
+                      oracle_check, parse_system_file, run_census,
+                      sample_system)
 from cicensus.cli import main as cli_main  # noqa: E402
 
 # (label, n, s, d, q, mode, trials, seed, certs, count_points)
@@ -74,6 +77,27 @@ def _absirr_conics():
                    for system in enumerate_systems(2, 1, (2,), q))
 
 
+# (n, s, d, q) of the systems whose minors the terms case hashes; the
+# F_27 case has n - s = 2, so its last minor takes the Vandermonde columns
+TERMS_PATTERNS = ((3, 2, (2, 2), 3), (3, 2, (2, 2), 16), (3, 2, (2, 2), 101),
+                  (4, 2, (2, 2), 27))
+
+
+def _terms():
+    lines = []
+    for n, s, d, q in TERMS_PATTERNS:
+        for seed in range(20):
+            system = sample_system(n, s, d, q, seed)
+            lines += [jacobian_minor(system, k).serialize()
+                      for k in range(s + 1, n + 2)]
+    for cert in ("nons", "irr"):
+        for n in range(2, 6):
+            for s in range(1, n):
+                cls = chow_class(cert, n, s, range(s + 1, 1, -1))
+                lines.append(repr(sorted(cls.coeffs.items())))
+    return "\n".join(lines)
+
+
 def _cli_test(path: Path, cert: str):
     field = parse_system_file(path.read_text()).field.spec_str()
     out = io.StringIO()
@@ -89,6 +113,7 @@ def cases():
         yield label, lambda args=args: _census(*args)
     yield "oracle-60-7", _oracle
     yield "absirr-conics-q2-q3", _absirr_conics
+    yield "terms", _terms
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
             yield (f"test-{path.stem}-{cert}",
