@@ -9,9 +9,10 @@ makes trials independent, parallelizable, and reproducible: identical
 parameters and seed give byte-identical reports up to the volatile
 timestamp/runtime fields.
 
-Monte Carlo verdicts use Wilson score intervals at 3 sigma; "violated"
-requires the whole interval below the theoretical floor, and floors whose
-q-guard fails are reported as "vacuous" rather than asserted.
+A Monte Carlo census reports "violated" when its pass count is below
+the theoretical floor by an exact one-sided binomial test at the 3-sigma
+level, and shows the Wilson score interval at 3 sigma beside it; floors
+whose q-guard fails are reported as "vacuous" rather than asserted.
 
 Point counting and the brute-force emptiness search scan P^n(F_{q^m}) in
 int64 blocks of points, in the order of projective_points, evaluating
@@ -29,6 +30,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
@@ -48,6 +50,7 @@ ORACLE_DIMS = (1, 2, 3)
 ORACLE_FIELDS = (2, 3, 5)
 ORACLE_MAX_BEZOUT = 8
 _BLOCK = 4096  # points per array in a point search, bounding its memory
+VIOLATION_ALPHA = Fraction(135, 100000)  # one-sided 3 sigma
 
 
 def trial_seed(master, index: int) -> str:
@@ -225,14 +228,14 @@ def brute_force_empty(ts: TestSystem, max_ext: int | None = None,
                              ext_degree=None, searched_up_to=max_ext)
 
 
-def brute_force_absirr(f: Poly, max_ext: int | None = None,
-                       factor_cap: int = DEFAULT_FACTOR_CAP) -> bool:
-    """True iff f has no proper homogeneous factor over F_{q^m}, m <= max_ext.
+def brute_force_absirr(f: Poly) -> bool:
+    """True iff f has no proper homogeneous factor over F_{q^m}, m <= deg(f).
 
     Exhaustive search over candidate factors of degree <= deg(f)/2; the
     cofactor is solved for by linear algebra.  A factor of an absolutely
     reducible form is defined over an extension of degree at most deg(f),
-    hence the default search depth.
+    hence the search depth.  More than DEFAULT_FACTOR_CAP candidates
+    raise SearchSpaceTooLarge.
     """
     if f.is_zero():
         return False
@@ -241,19 +244,17 @@ def brute_force_absirr(f: Poly, max_ext: int | None = None,
         raise SearchSpaceTooLarge("factor search supports deg <= 4, nvars <= 3")
     if deg == 1:
         return True
-    if max_ext is None:
-        max_ext = deg
     field = f.field
     candidates = 0
-    for m in range(1, max_ext + 1):
+    for m in range(1, deg + 1):
         for a in range(1, deg // 2 + 1):
             count_a = len(monomials(nv, a))
             candidates += projective_count(count_a - 1, field.q ** m)
-    if candidates > factor_cap:
-        raise SearchSpaceTooLarge(
-            f"{candidates} candidate factors exceed cap {factor_cap}")
+    if candidates > DEFAULT_FACTOR_CAP:
+        raise SearchSpaceTooLarge(f"{candidates} candidate factors exceed "
+                                  f"cap {DEFAULT_FACTOR_CAP}")
     f_vec = [f.terms.get(x, 0) for x in monomials(nv, deg)]
-    for m in range(1, max_ext + 1):
+    for m in range(1, deg + 1):
         ext, emb = field.extension(m)
         for a in range(1, deg // 2 + 1):
             # rows g * m_b over the degree-deg monomials, then f; the
@@ -284,6 +285,29 @@ def wilson_interval(count: int, total: int, z: float = 3.0):
     center = (phat + z2 / (2 * total)) / denom
     half = z * math.sqrt(phat * (1 - phat) / total + z2 / (4 * total * total)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
+
+
+def binomial_below(count: int, total: int, floor: Fraction) -> bool:
+    """True iff P[Bin(total, floor) <= count] < VIOLATION_ALPHA: so few
+    passes are too unlikely if the pass rate were the floor (one-sided
+    Clopper-Pearson).  Exact in integers for floor = a/b < 1: term i is
+    C(total, i) a^i (b-a)^(total-i), each term divides the next exactly,
+    and the shorter tail is summed.  A floor <= 0 is never violated."""
+    if floor <= 0:
+        return False
+    a, b = floor.numerator, floor.denominator
+    if 2 * count < total:  # the lower tail, from i = 0 up
+        t, tail = (b - a) ** total, 0
+        for i in range(count + 1):
+            tail += t
+            t = t * (total - i) * a // ((i + 1) * (b - a))
+    else:  # everything but the upper tail, from i = total down
+        t, tail = a ** total, b ** total
+        for i in range(total, count, -1):
+            tail -= t
+            t = t * i * (b - a) // ((total - i + 1) * a)
+    return (tail * VIOLATION_ALPHA.denominator
+            < VIOLATION_ALPHA.numerator * b ** total)
 
 
 @dataclass(frozen=True)
@@ -379,30 +403,18 @@ class CensusReport:
         return any(cs.verdict == "violated" for cs in self.per_cert.values())
 
 
-def _tally(trials, certs, count_points: bool, keep_trials: bool):
-    """Decide every (index, seed, system): pass counts, trial records, the
-    point counts of ci-certified systems, and the number decided."""
-    counts = dict.fromkeys(certs, 0)
-    records, ci_points, decided = [], [], 0
-    for idx, seed, system in trials:
-        verdicts = {cert: certify(system, cert) for cert in certs}
-        points = count_zf_points(system) if count_points else None
-        for cert, ok in verdicts.items():
-            counts[cert] += ok
-        if count_points and verdicts.get("ci"):
-            ci_points.append(points)
-        if keep_trials:
-            records.append(TrialRecord(index=idx, seed=seed,
-                                       system_text=system.serialize(),
-                                       verdicts=verdicts, points=points))
-        decided += 1
-    return counts, records, ci_points, decided
+def _trial(system, certs, count_points: bool, keep_trials: bool):
+    """One trial: its certificate verdicts, the point count of Z(f) when
+    counting, and the system text when trials are kept."""
+    verdicts = {cert: certify(system, cert) for cert in certs}
+    points = count_zf_points(system) if count_points else None
+    return verdicts, points, system.serialize() if keep_trials else None
 
 
-def _mc_worker(payload):
-    q, n, s, d, master, indices, certs, count_points, keep_trials = payload
-    seeds = ((idx, trial_seed(master, idx)) for idx in indices)
-    return _tally(((idx, seed, sample_system(n, s, d, q, seed)) for idx, seed in seeds),
+def _sampled_trial(n, s, d, q, master, certs, count_points, keep_trials,
+                   index):
+    """Trial ``index`` of a Monte Carlo census, on its own seeded system."""
+    return _trial(sample_system(n, s, d, q, trial_seed(master, index)),
                   certs, count_points, keep_trials)
 
 
@@ -423,36 +435,40 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
     if mode == "exhaustive":
         total = system_space_size(n, s, d, q)
         systems = enumerate_systems(n, s, d, q, cap=exhaustive_cap)
-        results = [_tally(((idx, "", system) for idx, system in enumerate(systems)),
-                          certs, count_points, keep_trials)]
+        results = map(partial(_trial, certs=certs, count_points=count_points,
+                              keep_trials=keep_trials), systems)
     elif mode == "monte_carlo":
         if trials is None or trials < 1:
             raise PatternViolation("monte_carlo mode needs a positive trial count")
         if seed is None:
             seed = random.randrange(1 << 48)
         total = trials
+        fn = partial(_sampled_trial, n, s, tuple(d), q, seed, certs,
+                     count_points, keep_trials)
         jobs = min(jobs, trials, os.cpu_count() or 1)
-        nchunks = min(jobs * 4, trials)
-        payloads = [(q, n, s, tuple(d), seed, tuple(range(i, trials, nchunks)),
-                     certs, count_points, keep_trials) for i in range(nchunks)]
         if jobs > 1:
             with Pool(jobs) as pool:
-                results = pool.map(_mc_worker, payloads)
+                results = pool.map(fn, range(trials))
         else:
-            results = list(map(_mc_worker, payloads))
+            results = map(fn, range(trials))
     else:
         raise PatternViolation(f"unknown census mode {mode!r}")
 
+    # one pass in index order; a record is held only when trials are kept,
+    # so memory does not grow with the census size otherwise
     counts = dict.fromkeys(certs, 0)
     records, ci_points, decided = [], [], 0
-    for wcounts, wrecords, wpoints, wdecided in results:
-        for cert, c in wcounts.items():
-            counts[cert] += c
-        records.extend(wrecords)
-        ci_points.extend(wpoints)
-        decided += wdecided
+    for idx, (verdicts, points, text) in enumerate(results):
+        for cert in certs:
+            counts[cert] += verdicts[cert]
+        if count_points and verdicts.get("ci"):
+            ci_points.append(points)
+        if keep_trials:
+            records.append(TrialRecord(
+                index=idx, seed=trial_seed(seed, idx) if mode == "monte_carlo" else "",
+                system_text=text, verdicts=verdicts, points=points))
+        decided += 1
     assert decided == total, "trials decided do not match the census size"
-    records.sort(key=lambda r: r.index)
 
     per_cert = {}
     for cert in certs:
@@ -467,7 +483,7 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
             if mode == "exhaustive":
                 below = freq < pb.bound
             else:
-                below = interval[1] < float(pb.bound)
+                below = binomial_below(counts[cert], total, pb.bound)
             verdict = "violated" if below else "consistent"
         per_cert[cert] = CertSummary(cert=cert, count=counts[cert], total=total,
                                      freq=freq, interval=interval,

@@ -18,8 +18,9 @@ the linear subspace {X_j = 0}, so ``decide`` asks the same question of
 those others with X_j set to 0 and the X_j deleted: n+1-c forms in
 n+1-c variables.  A linear form adds e - 1 = 0 to N, so N is unchanged,
 and the gate is exact, so the verdict is too; only the matrix shrinks
-(``irr`` at (5,3,(2,2,2)): 2682x1287 becomes 882x495).  The recipes
-never slice X_0, so at least one variable remains.
+(``irr`` at (5,3,(2,2,2)): 2682x1287 becomes 882x495).  The sliced X_j
+are always the trailing variables, so a slice cuts every exponent short.
+The recipes never slice X_0, so at least one variable remains.
 """
 
 from __future__ import annotations
@@ -129,23 +130,23 @@ def projective_empty(ts: TestSystem) -> EmptinessVerdict:
 def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
     """The test system restricted to {X_j = 0 : j in coords}.
 
-    ``ts`` must end with the coordinate forms X_j, j in ``coords``, as the
-    recipes build it: they are dropped, and every other form loses its
-    terms in those X_j and then the variables themselves.
+    ``coords`` must be the trailing variables X_{nvars-c}..X_{nvars-1},
+    and ``ts`` must end with their coordinate forms, as the recipes build
+    it: those forms are dropped, and every other form loses its terms in
+    those variables and then the variables themselves.
     """
     c = len(coords)
     if not c:
         return ts
-    if ts.forms[-c:] != tuple(Poly.variable(ts.field, ts.nvars, j)
-                              for j in coords):
-        raise ValueError("the test system does not end with the sliced "
-                         "coordinate forms")
-    keep = [i for i in range(ts.nvars) if i not in coords]
-    nvars = len(keep)
+    nvars = ts.nvars - c
+    if (tuple(coords) != tuple(range(nvars, ts.nvars))
+            or ts.forms[-c:] != tuple(Poly.variable(ts.field, ts.nvars, j)
+                                      for j in coords)):
+        raise ValueError("only trailing variables whose coordinate forms "
+                         "end the test system can be sliced")
     forms = tuple(
         Poly(ts.field, nvars, f.degree,
-             {tuple(e[i] for i in keep): a for e, a in f.terms.items()
-              if not any(e[j] for j in coords)})
+             {e[:nvars]: a for e, a in f.terms.items() if not any(e[nvars:])})
         for f in ts.forms[:-c])
     return TestSystem(ts.cert, ts.field, nvars, forms, ts.degrees[:-c])
 

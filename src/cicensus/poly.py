@@ -424,15 +424,15 @@ def jacobian_det(system: PolySystem) -> Poly:
 
 def cert_recipe(cert: str, n: int, s: int):
     """What a certificate appends to f_1..f_s: (k of each minor J_k, j of
-    each coordinate form X_j).  Test systems, Macaulay degrees, degree
-    bounds and class expansions are all read from this table."""
+    each coordinate form X_j).  It keeps the first s + m forms of the
+    chain f, J_{s+1}, ..., J_{n+1}, with m per certificate, and fills up
+    to n+1 forms with the trailing coordinates X_{s+m}..X_n.  Test
+    systems, Macaulay degrees, degree bounds and class expansions are all
+    read from this table."""
     if cert not in CERTS:
         raise UnsupportedCertificate(f"unknown certificate {cert!r}")
-    minors, coords = {"stci": ((), range(s, n + 1)),
-                      "ci": ((s + 1,), range(s + 1, n + 1)),
-                      "nons": (range(s + 1, n + 2), ()),
-                      "irr": ((s + 1, s + 2), range(s + 2, n + 1))}[cert]
-    return tuple(minors), tuple(coords)
+    m = {"stci": 0, "ci": 1, "irr": 2, "nons": n + 1 - s}[cert]
+    return tuple(range(s + 1, s + m + 1)), tuple(range(s + m, n + 1))
 
 
 def build_test_system(system: PolySystem, cert: str) -> TestSystem:

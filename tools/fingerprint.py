@@ -37,11 +37,14 @@ from cicensus import (CERTS, brute_force_absirr,  # noqa: E402
                       sample_system)
 from cicensus.cli import main as cli_main  # noqa: E402
 
-# (label, n, s, d, q, mode, trials, seed, certs, count_points)
+# (label, n, s, d, q, mode, trials, seed, certs, count_points[, jobs]); a
+# case with jobs > 1 must hash like its serial twin
 CENSUS_CASES = (
     ("census-3-2-21-q16", 3, 2, (2, 1), 16, "monte_carlo", 30, 5, CERTS, True),
     ("census-3-2-21-q101", 3, 2, (2, 1), 101, "monte_carlo", 30, 5, CERTS,
      False),
+    ("census-3-2-21-q101-jobs2", 3, 2, (2, 1), 101, "monte_carlo", 30, 5,
+     CERTS, False, 2),
     ("census-3-2-21-q101-points", 3, 2, (2, 1), 101, "monte_carlo", 3, 5,
      CERTS, True),
     ("census-3-2-22-q1009", 3, 2, (2, 2), 1009, "monte_carlo", 30, 5, CERTS,
@@ -59,10 +62,10 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _census(n, s, d, q, mode, trials, seed, certs, count_points):
+def _census(n, s, d, q, mode, trials, seed, certs, count_points, jobs=1):
     report = run_census(n, s, d, q, mode, trials=trials, seed=seed,
                         certs=certs, count_points=count_points,
-                        keep_trials=True)
+                        keep_trials=True, jobs=jobs)
     return report.to_json(include_volatile=False)
 
 
