@@ -15,7 +15,7 @@ from .bounds import (BoundsReport, DegreeBounds, FactorizationCount, GOfB,
                      linear_independent_count, multihomog_zero_bound,
                      pattern_landscape, pattern_stats,
                      probability_lower_bound, projective_count,
-                     recipe_macaulay_degree)
+                     recipe_macaulay_degree, recipe_macaulay_shape)
 from .census import (BruteForceVerdict, CensusReport, CertSummary,
                      OracleReport, TrialRecord, brute_force_absirr,
                      brute_force_empty, count_zf_points, enumerate_systems,
@@ -31,8 +31,8 @@ from .errors import (ArityMismatch, CicensusError, DegreeMismatch,
                      TooLarge, UnsupportedCertificate)
 from .field import Field, field_from_order, is_prime, parse_field_spec
 from .macaulay import (EmptinessVerdict, certify, coordinate_slice, decide,
-                       macaulay_degree, macaulay_instance, projective_empty,
-                       rank_over_field)
+                       decide_many, macaulay_degree, macaulay_instance,
+                       projective_empty, rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    build_test_system, cert_recipe, compose_linear,
                    jacobian_det, jacobian_minor, monomials, parse_system_file,

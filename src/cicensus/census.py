@@ -7,7 +7,10 @@ projective point has exactly q-1 nonzero representatives).  Per-trial
 seeds are derived from the master seed by a counter construction, which
 makes trials independent, parallelizable, and reproducible: identical
 parameters and seed give byte-identical reports up to the volatile
-timestamp/runtime fields.
+timestamp/runtime fields.  A census decides its trials in batches: each
+system's minor chain is built once for every certificate, and each
+certificate decides the whole batch in stacks (``decide_many``); results
+are read back in index order, so reports do not depend on ``jobs``.
 
 A Monte Carlo census reports "violated" when its pass count is below
 the theoretical floor by an exact one-sided binomial test at the 3-sigma
@@ -35,12 +38,14 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .bounds import probability_lower_bound, projective_count
+from .bounds import (probability_lower_bound, projective_count,
+                     recipe_macaulay_shape)
 from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
-from .macaulay import certify, projective_empty, rank_over_field
+from .macaulay import (_STACK_CELLS, check_shape, decide_many,
+                       projective_empty, rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
-                   monomials, shift_index)
+                   cert_recipe, jacobian_minor, monomials, shift_index)
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_POINT_CAP = 200_000
@@ -50,6 +55,10 @@ ORACLE_DIMS = (1, 2, 3)
 ORACLE_FIELDS = (2, 3, 5)
 ORACLE_MAX_BEZOUT = 8
 _BLOCK = 4096  # points per array in a point search, bounding its memory
+# a census batch holds each trial's systems, minors and verdicts as Python
+# objects, a few KiB: a trial counts as at least this many matrix cells
+# when batches are sized to the stacks of _STACK_CELLS cells
+_TRIAL_CELLS = 512
 VIOLATION_ALPHA = Fraction(135, 100000)  # one-sided 3 sigma
 
 
@@ -403,26 +412,40 @@ class CensusReport:
         return any(cs.verdict == "violated" for cs in self.per_cert.values())
 
 
-def _trial(system, certs, count_points: bool, keep_trials: bool):
-    """One trial: its certificate verdicts, the point count of Z(f) when
-    counting, and the system text when trials are kept."""
-    verdicts = {cert: certify(system, cert) for cert in certs}
-    points = count_zf_points(system) if count_points else None
-    return verdicts, points, system.serialize() if keep_trials else None
-
-
-def _sampled_trial(n, s, d, q, master, certs, count_points, keep_trials,
-                   index):
-    """Trial ``index`` of a Monte Carlo census, on its own seeded system."""
-    return _trial(sample_system(n, s, d, q, trial_seed(master, index)),
-                  certs, count_points, keep_trials)
+def _batch(sample, certs, count_points: bool, keep_trials: bool, trials):
+    """Decide a batch of trials: ``trials`` is a list of systems, or, with
+    ``sample = (n, s, d, q, master)``, a range of Monte Carlo trial
+    indices, each sampled on its own seeded stream.  Each system's minor
+    chain is built once, as far as the certificates reach, and each
+    certificate decides the whole batch in one ``decide_many`` call.
+    Returns (verdicts, points, system text) per trial, in order."""
+    if sample:
+        n, s, d, q, master = sample
+        trials = [sample_system(n, s, d, q, trial_seed(master, i))
+                  for i in trials]
+    pat = trials[0].pattern
+    reach = max((len(cert_recipe(cert, pat.n, pat.s)[0]) for cert in certs),
+                default=0)
+    chains = [tuple(jacobian_minor(system, k)
+                    for k in range(pat.s + 1, pat.s + reach + 1))
+              for system in trials]
+    decided = {cert: decide_many(trials, cert, chains) for cert in certs}
+    return [({cert: decided[cert][i].empty for cert in certs},
+             count_zf_points(system) if count_points else None,
+             system.serialize() if keep_trials else None)
+            for i, system in enumerate(trials)]
 
 
 def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = None,
                seed=None, certs=CERTS, jobs: int = 1, count_points: bool = False,
                keep_trials: bool = False,
                exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CensusReport:
-    """Run a certificate census and compare against the theoretical floors."""
+    """Run a certificate census and compare against the theoretical floors.
+
+    Trials are decided in batches of as many systems as fit the largest
+    requested matrix into one stack of _STACK_CELLS cells, and at most
+    _STACK_CELLS // _TRIAL_CELLS = 64; a matrix over DEFAULT_MAX_CELLS
+    cells raises TooLarge before anything is sampled."""
     t0 = time.monotonic()
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
     field_from_order(q)  # rejects q before any work starts
@@ -432,27 +455,39 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
             raise PatternViolation(f"unknown certificate {cert!r}")
     if jobs < 1:
         raise PatternViolation("jobs must be at least 1")
+    cells = _TRIAL_CELLS
+    for cert in certs:
+        shape = recipe_macaulay_shape(n, s, d, cert)
+        check_shape(shape)
+        cells = max(cells, shape[0] * shape[1])
+    size = max(1, _STACK_CELLS // cells)
     if mode == "exhaustive":
         total = system_space_size(n, s, d, q)
         systems = enumerate_systems(n, s, d, q, cap=exhaustive_cap)
-        results = map(partial(_trial, certs=certs, count_points=count_points,
-                              keep_trials=keep_trials), systems)
+        batches = iter(lambda: list(itertools.islice(systems, size)), [])
+        results = map(partial(_batch, None, certs, count_points, keep_trials),
+                      batches)
     elif mode == "monte_carlo":
         if trials is None or trials < 1:
             raise PatternViolation("monte_carlo mode needs a positive trial count")
         if seed is None:
             seed = random.randrange(1 << 48)
         total = trials
-        fn = partial(_sampled_trial, n, s, tuple(d), q, seed, certs,
-                     count_points, keep_trials)
+        fn = partial(_batch, (n, s, tuple(d), q, seed), certs, count_points,
+                     keep_trials)
         jobs = min(jobs, trials, os.cpu_count() or 1)
+        # at least one range per worker
+        step = min(size, -(-trials // jobs))
+        ranges = [range(lo, min(lo + step, trials))
+                  for lo in range(0, trials, step)]
         if jobs > 1:
             with Pool(jobs) as pool:
-                results = pool.map(fn, range(trials))
+                results = pool.map(fn, ranges)
         else:
-            results = map(fn, range(trials))
+            results = map(fn, ranges)
     else:
         raise PatternViolation(f"unknown census mode {mode!r}")
+    results = itertools.chain.from_iterable(results)
 
     # one pass in index order; a record is held only when trials are kept,
     # so memory does not grow with the census size otherwise

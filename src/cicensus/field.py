@@ -11,9 +11,10 @@ Addition works digit by digit, on a prime field in one step.  An
 extension field multiplies through exp/log tables of its first primitive
 element in encoding order (Lidl and Niederreiter, Finite Fields, ch. 9),
 built on the first multiplication, shared by every Field with the same
-(p, k, modulus) and capped at q <= 2^20.  add, neg, sub, mul and submul
-take encodings as Python ints, returning ints, or as int64 arrays (the
-elimination kernel's rows, the point search's blocks).
+(p, k, modulus) and capped at q <= 2^20.  add, neg, sub, mul, submul
+and inv take encodings as Python ints, returning ints, or as int64
+arrays (the elimination kernel's rows and pivots, the point search's
+blocks).
 """
 
 from __future__ import annotations
@@ -318,7 +319,17 @@ class Field:
             return (x - c * y) % self.p
         return self.sub(x, self.mul(c, y))
 
-    def inv(self, a: int) -> int:
+    def inv(self, a):
+        """Inverse of a nonzero encoding, or of every entry of an int64
+        array of them."""
+        if type(a) is not int:
+            if not a.all():
+                raise DivisionByZero("zero has no inverse")
+            if self.k > 1:
+                exp, log = (self._tables or self._load_tables())[0]
+                return exp[self.q - 1 - log[a]]
+            return np.array([pow(x, -1, self.p) for x in a.ravel().tolist()],
+                            dtype=np.int64).reshape(a.shape)
         if a == 0:
             raise DivisionByZero("zero has no inverse")
         if self.k == 1:

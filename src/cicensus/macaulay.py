@@ -21,6 +21,18 @@ and the gate is exact, so the verdict is too; only the matrix shrinks
 (``irr`` at (5,3,(2,2,2)): 2682x1287 becomes 882x495).  The sliced X_j
 are always the trailing variables, so a slice cuts every exponent short.
 The recipes never slice X_0, so at least one variable remains.
+
+Every system of one pattern gives a sliced matrix of one shape, known in
+closed form (``bounds.recipe_macaulay_shape``), so ``decide_many``
+decides a certificate for many systems at once.  It fills one int64
+(B, R, C) stack of at most _STACK_CELLS cells, one scatter per form, and
+eliminates it in place in lockstep: the matrices of a group share their
+column and pivot row while each swaps in its own pivot, and a column with
+a pivot in only some of them splits the group, the rest waiting on a
+worklist.  Which kernel runs is chosen by B: a stack of two or more
+takes the lockstep loop, one matrix takes the row loop, which is faster
+on a single matrix, and so does a group split down to one matrix.  A matrix over DEFAULT_MAX_CELLS cells raises
+TooLarge before any test system is built.
 """
 
 from __future__ import annotations
@@ -29,10 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, DegreeMismatch, EmptyInput, MixedFields
+from .bounds import recipe_macaulay_shape
+from .errors import (ArityMismatch, DegreeMismatch, EmptyInput, MixedFields,
+                     PatternViolation, TooLarge)
 from .field import Field
 from .poly import (Poly, PolySystem, TestSystem, build_test_system,
                    cert_recipe, monomials, shift_index)
+
+_STACK_CELLS = 1 << 15  # cells of one stack of matrices: 256 KiB of int64
+DEFAULT_MAX_CELLS = 1 << 25  # cells of the largest matrix decided
 
 
 def macaulay_degree(degrees) -> int:
@@ -58,10 +75,8 @@ class EmptinessVerdict:
         return self.ncols - self.rank
 
 
-def rank_over_field(rows, field: Field) -> int:
-    """Row-echelon rank of a dense matrix of element encodings over F_q,
-    given as lists or an array; the kernel eliminates in a copy."""
-    a = np.array(rows, dtype=np.int64)
+def _echelon(a, field: Field) -> int:
+    """Rank of the int64 matrix a, eliminated in place row by row."""
     if not a.size:
         return 0
     nrows, ncols = a.shape
@@ -84,6 +99,89 @@ def rank_over_field(rows, field: Field) -> int:
     return r
 
 
+def _echelon_stack(a, field: Field):
+    """Ranks of the matrices a[b] of the int64 stack a, eliminated in place
+    in lockstep: a group of matrices shares its column c and pivot row r,
+    each swaps its own first nonzero row into r, and a column with a pivot
+    in only some of them splits the group; the others go on the worklist
+    at column c + 1.  A group of one finishes in the row loop, which
+    indexes one matrix faster than the stack."""
+    nb, nrows, ncols = a.shape
+    ranks = np.zeros(nb, dtype=np.int64)
+    work = [(np.arange(nb), 0, 0)] if a.size else []
+    while work:
+        idx, c, r = work.pop()  # matrices, column, pivot row
+        while c < ncols and r < nrows:
+            if len(idx) == 1:  # the rest of one matrix: the row loop
+                r += _echelon(a[idx[0], r:, c:], field)
+                break
+            sel = slice(None) if len(idx) == nb else idx
+            nz = a[sel, r:, c] != 0
+            has = nz.any(axis=1)
+            if not has.all():
+                if not has.any():
+                    c += 1
+                    continue
+                work.append((idx[~has], c + 1, r))
+                idx, nz = idx[has], nz[has]
+                sel = idx
+            piv = nz.argmax(axis=1)
+            moved = piv.nonzero()[0]
+            if moved.size:
+                b, p = idx[moved], r + piv[moved]
+                a[b, r], a[b, p] = a[b, p], a[b, r]
+            a[sel, r, c:] = field.mul(a[sel, r, c:],
+                                      field.inv(a[sel, r, c])[:, None])
+            # the rows below r with an entry in column c in any matrix
+            hit = r + 1 + a[sel, r + 1:, c].any(axis=0).nonzero()[0]
+            if hit.size:
+                mats = idx[:, None] if sel is idx else sel
+                rows = (mats, hit, slice(c, None))
+                below = a[rows]
+                a[rows] = field.submul(below, below[:, :, :1],
+                                       a[sel, r, None, c:])
+            c, r = c + 1, r + 1
+        ranks[idx] = r
+    return ranks
+
+
+def _eliminate(a, field: Field):
+    """Rank of an int64 matrix, or the ranks of a stack, in place.  A stack
+    of one takes the row loop, which is faster on a single matrix."""
+    if a.ndim < 3:
+        return _echelon(a, field)
+    if len(a) == 1:
+        return np.array([_echelon(a[0], field)])
+    return _echelon_stack(a, field)
+
+
+def rank_over_field(rows, field: Field):
+    """Row-echelon rank over F_q of a dense matrix of element encodings, or
+    the array of ranks of a (B, R, C) stack of them, given as lists or an
+    array; the kernel eliminates in a copy."""
+    return _eliminate(np.array(rows, dtype=np.int64), field)
+
+
+def _stack(tss, degrees, shifts, ncols):
+    """The int64 stack of the Macaulay matrices of test systems of one
+    shape: the rows of form j are m * g_j for the multipliers m of degree
+    N - e_j in canonical order, one scatter per form of every system's
+    coefficient vector through shift_index."""
+    nvars = tss[0].nvars
+    a = np.zeros((len(tss), sum(len(sh) for sh in shifts), ncols),
+                 dtype=np.int64)
+    r = 0
+    for j, (e, sh) in enumerate(zip(degrees, shifts)):
+        # the positions m * x of one row are distinct, so zero
+        # coefficients may be written too
+        coeffs = np.array([[ts.forms[j].terms.get(x, 0)
+                            for x in monomials(nvars, e)] for ts in tss],
+                          dtype=np.int64)
+        a[:, np.arange(r, r + len(sh))[:, None], sh] = coeffs[:, None]
+        r += len(sh)
+    return a
+
+
 def macaulay_instance(ts: TestSystem):
     """The degree-N multiplication matrix of a test system, as int64.
 
@@ -92,39 +190,57 @@ def macaulay_instance(ts: TestSystem):
     of degree N - deg(g_j) in canonical order, scattered through
     shift_index.
     """
-    nvars, n_deg = ts.nvars, macaulay_degree(ts.degrees)
-    shifts = [shift_index(nvars, n_deg, e) for e in ts.degrees]
-    a = np.zeros((sum(len(sh) for sh in shifts),
-                  len(monomials(nvars, n_deg))), dtype=np.int64)
-    r = 0
-    for form, e, sh in zip(ts.forms, ts.degrees, shifts):
-        # the positions m * x_j of one row are distinct, so zero
-        # coefficients may be written too
-        a[np.arange(r, r + len(sh))[:, None], sh] = [
-            form.terms.get(x, 0) for x in monomials(nvars, e)]
-        r += len(sh)
-    return a
+    n_deg = macaulay_degree(ts.degrees)
+    shifts = [shift_index(ts.nvars, n_deg, e) for e in ts.degrees]
+    return _stack([ts], ts.degrees, shifts,
+                  len(monomials(ts.nvars, n_deg)))[0]
+
+
+def check_shape(shape) -> None:
+    """TooLarge if a Macaulay matrix of this (rows, columns) shape exceeds
+    DEFAULT_MAX_CELLS cells."""
+    nrows, ncols = shape
+    if nrows * ncols > DEFAULT_MAX_CELLS:
+        raise TooLarge(f"a {nrows}x{ncols} Macaulay matrix exceeds "
+                       f"{DEFAULT_MAX_CELLS} cells")
+
+
+def _verdicts(tss) -> list:
+    """Emptiness verdicts of test systems that share nvars, degrees and
+    field, in order: each is validated, one with a zero form
+    short-circuits, and the others are decided in stacks of at most
+    _STACK_CELLS cells (one matrix where a matrix is larger)."""
+    nvars, degrees = tss[0].nvars, tss[0].degrees
+    for ts in tss:
+        for f, e in zip(ts.forms, ts.degrees):
+            if f.field != ts.field:
+                raise MixedFields("all forms must live in one field")
+            if f.nvars != ts.nvars:
+                raise ArityMismatch("form arity differs from the test system")
+            if f.terms and f.degree != e:
+                raise DegreeMismatch(f"a form of degree {f.degree} is listed "
+                                     f"with degree {e}")
+    n_deg = macaulay_degree(degrees)
+    ncols = len(monomials(nvars, n_deg))
+    out = [EmptinessVerdict(empty=False, rank=0, degree=n_deg, nrows=0,
+                            ncols=ncols)
+           if any(f.is_zero() for f in ts.forms) else None for ts in tss]
+    live = [i for i, v in enumerate(out) if v is None]
+    shifts = [shift_index(nvars, n_deg, e) for e in degrees]
+    nrows = sum(len(sh) for sh in shifts)
+    size = max(1, _STACK_CELLS // (nrows * ncols))
+    for lo in range(0, len(live), size):
+        batch = live[lo:lo + size]
+        a = _stack([tss[i] for i in batch], degrees, shifts, ncols)
+        for i, rank in zip(batch, _eliminate(a, tss[0].field).tolist()):
+            out[i] = EmptinessVerdict(empty=(rank == ncols), rank=rank,
+                                      degree=n_deg, nrows=nrows, ncols=ncols)
+    return out
 
 
 def projective_empty(ts: TestSystem) -> EmptinessVerdict:
     """Decide whether the test system's zero set in P^n is empty over the closure."""
-    for f, e in zip(ts.forms, ts.degrees):
-        if f.field != ts.field:
-            raise MixedFields("all forms must live in one field")
-        if f.nvars != ts.nvars:
-            raise ArityMismatch("form arity differs from the test system")
-        if f.terms and f.degree != e:
-            raise DegreeMismatch(f"a form of degree {f.degree} is listed "
-                                 f"with degree {e}")
-    n_deg = macaulay_degree(ts.degrees)
-    if any(f.is_zero() for f in ts.forms):
-        return EmptinessVerdict(empty=False, rank=0, degree=n_deg,
-                                nrows=0, ncols=len(monomials(ts.nvars, n_deg)))
-    a = macaulay_instance(ts)
-    nrows, ncols = a.shape
-    rank = rank_over_field(a, ts.field)
-    return EmptinessVerdict(empty=(rank == ncols), rank=rank, degree=n_deg,
-                            nrows=nrows, ncols=ncols)
+    return _verdicts([ts])[0]
 
 
 def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
@@ -151,12 +267,30 @@ def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
     return TestSystem(ts.cert, ts.field, nvars, forms, ts.degrees[:-c])
 
 
+def decide_many(systems, cert: str, chains=None) -> list:
+    """``[decide(system, cert) for system in systems]`` for systems of one
+    pattern and field, whose sliced matrices share one shape and are
+    decided in stacks.  ``chains[i]``, when given, holds minors J_{s+1},
+    J_{s+2}, ... of systems[i] (``build_test_system``).  TooLarge is
+    raised before anything is built if the matrix exceeds
+    DEFAULT_MAX_CELLS cells."""
+    systems = list(systems)
+    if not systems:
+        return []
+    pat, field = systems[0].pattern, systems[0].field
+    check_shape(recipe_macaulay_shape(pat.n, pat.s, pat.d, cert))
+    if any(s.pattern != pat or s.field != field for s in systems):
+        raise PatternViolation("decide_many needs one pattern and field")
+    coords = cert_recipe(cert, pat.n, pat.s)[1]
+    return _verdicts([
+        coordinate_slice(build_test_system(system, cert, chain), coords)
+        for system, chain in zip(systems, chains or [()] * len(systems))])
+
+
 def decide(system: PolySystem, cert: str) -> EmptinessVerdict:
     """The emptiness verdict of the certificate's test system, decided on
     the slice by the recipe's coordinate forms (module docstring)."""
-    coords = cert_recipe(cert, system.pattern.n, system.pattern.s)[1]
-    return projective_empty(
-        coordinate_slice(build_test_system(system, cert), coords))
+    return decide_many([system], cert)[0]
 
 
 def certify(system: PolySystem, cert: str) -> bool:

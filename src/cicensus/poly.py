@@ -435,13 +435,17 @@ def cert_recipe(cert: str, n: int, s: int):
     return tuple(range(s + 1, s + m + 1)), tuple(range(s + m, n + 1))
 
 
-def build_test_system(system: PolySystem, cert: str) -> TestSystem:
+def build_test_system(system: PolySystem, cert: str,
+                      chain=()) -> TestSystem:
     """Assemble the n+1 forms whose emptiness decides the given certificate:
-    f, then the recipe's minors (degree sigma), then its coordinate forms."""
+    f, then the recipe's minors (degree sigma), then its coordinate forms.
+    ``chain`` may hold J_{s+1}, J_{s+2}, ... of this system, computed
+    once for several certificates; the minors it lacks are computed."""
     pat = system.pattern
     minors, coords = cert_recipe(cert, pat.n, pat.s)
     nvars = pat.n + 1
-    forms = (system.forms + tuple(jacobian_minor(system, k) for k in minors)
+    forms = (system.forms + tuple(chain[:len(minors)])
+             + tuple(jacobian_minor(system, k) for k in minors[len(chain):])
              + tuple(Poly.variable(system.field, nvars, j) for j in coords))
     degrees = pat.d + (pat.sigma,) * len(minors) + (1,) * len(coords)
     return TestSystem(cert, system.field, nvars, forms, degrees)

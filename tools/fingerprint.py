@@ -49,6 +49,10 @@ CENSUS_CASES = (
      CERTS, True),
     ("census-3-2-22-q1009", 3, 2, (2, 2), 1009, "monte_carlo", 30, 5, CERTS,
      False),
+    # five batches of 7, 7, 7, 7 and 2 trials (80x56 matrices), over two
+    # workers
+    ("census-3-2-22-q1009-jobs2", 3, 2, (2, 2), 1009, "monte_carlo", 30, 5,
+     CERTS, False, 2),
     ("census-4-2-22-q1009", 4, 2, (2, 2), 1009, "monte_carlo", 30, 1,
      ("stci", "ci", "irr"), False),
     ("census-4-2-22-q1009-nons", 4, 2, (2, 2), 1009, "monte_carlo", 30, 1,
