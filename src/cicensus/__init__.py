@@ -36,4 +36,4 @@ from .macaulay import (EmptinessVerdict, certify, coordinate_slice, decide,
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    build_test_system, cert_recipe, compose_linear,
                    jacobian_det, jacobian_minor, monomials, parse_system_file,
-                   poly_parse, shift_index, system_file_text)
+                   poly_parse, recipe_degrees, shift_index, system_file_text)

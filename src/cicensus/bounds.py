@@ -19,7 +19,7 @@ from math import comb
 
 from .errors import HypothesisViolated, PatternViolation
 from .field import _prime_factors
-from .poly import CERTS, DegreePattern, cert_recipe
+from .poly import CERTS, DegreePattern, cert_recipe, recipe_degrees
 
 # ---------------------------------------------------------------------------
 # Pattern statistics
@@ -388,10 +388,9 @@ def recipe_macaulay_shape(n: int, s: int, d, cert: str) -> tuple:
     """(rows, columns) of the certificate's Macaulay matrix on its slice,
     closed form: v = s + m forms in v variables at the degree N above,
     C(N+v-1, v-1) columns and C(N-e+v-1, v-1) rows per derived degree e."""
-    m = len(cert_recipe(cert, n, s)[0])
-    pat = DegreePattern(n=n, s=s, d=tuple(d))
-    v, big_n = s + m, recipe_macaulay_degree(n, s, d, cert)
-    degrees = pat.d + (pat.sigma,) * m
+    v = s + len(cert_recipe(cert, n, s)[0])
+    degrees = recipe_degrees(DegreePattern(n=n, s=s, d=tuple(d)), cert)[:v]
+    big_n = recipe_macaulay_degree(n, s, d, cert)
     return (sum(comb(big_n - e + v - 1, v - 1) for e in degrees),
             comb(big_n + v - 1, v - 1))
 

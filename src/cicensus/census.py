@@ -42,23 +42,21 @@ from .bounds import (probability_lower_bound, projective_count,
                      recipe_macaulay_shape)
 from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
-from .macaulay import (_STACK_CELLS, check_shape, decide_many,
-                       projective_empty, rank_over_field)
+from .macaulay import (check_shape, decide_many, projective_empty,
+                       rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    cert_recipe, jacobian_minor, monomials, shift_index)
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_POINT_CAP = 200_000
+CENSUS_COUNT_CAP = 1 << 22  # largest P^n(F_q) a census counts per trial
 DEFAULT_FACTOR_CAP = 200_000
 # oracle_check draws n, q and n+1 degrees with product <= ORACLE_MAX_BEZOUT
 ORACLE_DIMS = (1, 2, 3)
 ORACLE_FIELDS = (2, 3, 5)
 ORACLE_MAX_BEZOUT = 8
 _BLOCK = 4096  # points per array in a point search, bounding its memory
-# a census batch holds each trial's systems, minors and verdicts as Python
-# objects, a few KiB: a trial counts as at least this many matrix cells
-# when batches are sized to the stacks of _STACK_CELLS cells
-_TRIAL_CELLS = 512
+_BATCH = 64  # census trials decided together; decide_many cuts the stacks
 VIOLATION_ALPHA = Fraction(135, 100000)  # one-sided 3 sigma
 
 
@@ -442,29 +440,26 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
                exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> CensusReport:
     """Run a certificate census and compare against the theoretical floors.
 
-    Trials are decided in batches of as many systems as fit the largest
-    requested matrix into one stack of _STACK_CELLS cells, and at most
-    _STACK_CELLS // _TRIAL_CELLS = 64; a matrix over DEFAULT_MAX_CELLS
-    cells raises TooLarge before anything is sampled."""
+    Trials are decided in batches of at most _BATCH, at least one per
+    worker.  A matrix over DEFAULT_MAX_CELLS cells, or with
+    ``count_points`` a P^n(F_q) over CENSUS_COUNT_CAP points, raises
+    TooLarge before anything is sampled."""
     t0 = time.monotonic()
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
     field_from_order(q)  # rejects q before any work starts
+    if jobs < 1:
+        raise PatternViolation("jobs must be at least 1")
     certs = tuple(certs)
     for cert in certs:
         if cert not in CERTS:
             raise PatternViolation(f"unknown certificate {cert!r}")
-    if jobs < 1:
-        raise PatternViolation("jobs must be at least 1")
-    cells = _TRIAL_CELLS
-    for cert in certs:
-        shape = recipe_macaulay_shape(n, s, d, cert)
-        check_shape(shape)
-        cells = max(cells, shape[0] * shape[1])
-    size = max(1, _STACK_CELLS // cells)
+        check_shape(recipe_macaulay_shape(n, s, d, cert))
+    if count_points and projective_count(n, q) > CENSUS_COUNT_CAP:
+        raise TooLarge(f"P^{n}(F_{q}) exceeds {CENSUS_COUNT_CAP} points")
     if mode == "exhaustive":
         total = system_space_size(n, s, d, q)
         systems = enumerate_systems(n, s, d, q, cap=exhaustive_cap)
-        batches = iter(lambda: list(itertools.islice(systems, size)), [])
+        batches = iter(lambda: list(itertools.islice(systems, _BATCH)), [])
         results = map(partial(_batch, None, certs, count_points, keep_trials),
                       batches)
     elif mode == "monte_carlo":
@@ -476,8 +471,7 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
         fn = partial(_batch, (n, s, tuple(d), q, seed), certs, count_points,
                      keep_trials)
         jobs = min(jobs, trials, os.cpu_count() or 1)
-        # at least one range per worker
-        step = min(size, -(-trials // jobs))
+        step = min(_BATCH, -(-trials // jobs))
         ranges = [range(lo, min(lo + step, trials))
                   for lo in range(0, trials, step)]
         if jobs > 1:

@@ -27,7 +27,7 @@ from .chow import chow_class, extract_bound, top_coefficient
 from .errors import CicensusError
 from .field import parse_field_spec
 from .macaulay import decide
-from .poly import CERTS, cert_recipe, parse_system_file
+from .poly import CERTS, cert_recipe, parse_system_file, recipe_degrees
 
 OUTDIR_ENV = "CICENSUS_OUTDIR"
 
@@ -147,8 +147,6 @@ def _cmd_test(args) -> int:
           f"F_{system.field.spec_str()} (delta={pat.delta}, sigma={pat.sigma})")
     for cert in _parse_certs(args.cert):
         verdict = decide(system, cert)
-        minors, coords = cert_recipe(cert, pat.n, pat.s)
-        degrees = list(pat.d) + [pat.sigma] * len(minors) + [1] * len(coords)
         if verdict.empty:
             meaning = _GUARANTEES[cert].format(dim=pat.n - pat.s,
                                                delta=pat.delta)
@@ -157,7 +155,7 @@ def _cmd_test(args) -> int:
             print(f"{cert}: fail: no conclusion (the certificate is a "
                   f"sufficient condition only)")
         print(f"      emptiness test at degree {verdict.degree} on the derived "
-              f"degrees {degrees}")
+              f"degrees {list(recipe_degrees(pat, cert))}")
         print(f"      Macaulay matrix {verdict.nrows}x{verdict.ncols}: "
               f"rank {verdict.rank}, deficit {verdict.deficit}")
     return 0

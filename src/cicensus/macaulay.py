@@ -14,25 +14,22 @@ forms always meet in projective n-space, so the gate short-circuits to
 
 The ``stci``, ``ci`` and ``irr`` recipes end with coordinate forms X_j.
 The common zeros of all n+1 forms are the common zeros of the others on
-the linear subspace {X_j = 0}, so ``decide`` asks the same question of
-those others with X_j set to 0 and the X_j deleted: n+1-c forms in
-n+1-c variables.  A linear form adds e - 1 = 0 to N, so N is unchanged,
-and the gate is exact, so the verdict is too; only the matrix shrinks
-(``irr`` at (5,3,(2,2,2)): 2682x1287 becomes 882x495).  The sliced X_j
-are always the trailing variables, so a slice cuts every exponent short.
-The recipes never slice X_0, so at least one variable remains.
+the linear subspace {X_j = 0}, so ``decide_many`` never builds the X_j:
+it sets them to 0 in f and the recipe's m minors and deletes them, which
+leaves s + m forms in s + m variables.  A linear form adds e - 1 = 0 to
+N, so N is unchanged, and the gate is exact, so the verdict is too; only
+the matrix shrinks (``irr`` at (5,3,(2,2,2)): 2682x1287 becomes
+882x495).  The X_j are the trailing variables, so the slice cuts every
+exponent short; the recipes never slice X_0.
 
 Every system of one pattern gives a sliced matrix of one shape, known in
 closed form (``bounds.recipe_macaulay_shape``), so ``decide_many``
-decides a certificate for many systems at once.  It fills one int64
-(B, R, C) stack of at most _STACK_CELLS cells, one scatter per form, and
-eliminates it in place in lockstep: the matrices of a group share their
-column and pivot row while each swaps in its own pivot, and a column with
-a pivot in only some of them splits the group, the rest waiting on a
-worklist.  Which kernel runs is chosen by B: a stack of two or more
-takes the lockstep loop, one matrix takes the row loop, which is faster
-on a single matrix, and so does a group split down to one matrix.  A matrix over DEFAULT_MAX_CELLS cells raises
-TooLarge before any test system is built.
+decides a certificate for many systems at once: it fills int64
+(B, R, C) stacks of at most _STACK_CELLS cells, one scatter per form,
+and eliminates each in place in lockstep (``_echelon_stack``).  A matrix
+over DEFAULT_MAX_CELLS cells raises TooLarge before any form is built.
+Forms are validated where they come from outside: in
+``projective_empty`` and the minors handed to ``decide_many``.
 """
 
 from __future__ import annotations
@@ -45,8 +42,9 @@ from .bounds import recipe_macaulay_shape
 from .errors import (ArityMismatch, DegreeMismatch, EmptyInput, MixedFields,
                      PatternViolation, TooLarge)
 from .field import Field
-from .poly import (Poly, PolySystem, TestSystem, build_test_system,
-                   cert_recipe, monomials, shift_index)
+from .poly import build_test_system  # noqa: F401  (importable from here)
+from .poly import (Poly, PolySystem, TestSystem, cert_recipe, jacobian_minor,
+                   monomials, recipe_degrees, shift_index)
 
 _STACK_CELLS = 1 << 15  # cells of one stack of matrices: 256 KiB of int64
 DEFAULT_MAX_CELLS = 1 << 25  # cells of the largest matrix decided
@@ -146,12 +144,9 @@ def _echelon_stack(a, field: Field):
 
 
 def _eliminate(a, field: Field):
-    """Rank of an int64 matrix, or the ranks of a stack, in place.  A stack
-    of one takes the row loop, which is faster on a single matrix."""
+    """Rank of an int64 matrix, or the ranks of a stack, in place."""
     if a.ndim < 3:
         return _echelon(a, field)
-    if len(a) == 1:
-        return np.array([_echelon(a[0], field)])
     return _echelon_stack(a, field)
 
 
@@ -183,13 +178,8 @@ def _stack(tss, degrees, shifts, ncols):
 
 
 def macaulay_instance(ts: TestSystem):
-    """The degree-N multiplication matrix of a test system, as int64.
-
-    Columns are the degree-N monomials in canonical order; the rows of
-    form g_j are the coefficient vectors of m * g_j for the multipliers m
-    of degree N - deg(g_j) in canonical order, scattered through
-    shift_index.
-    """
+    """The degree-N multiplication matrix of a test system, as int64, laid
+    out as one matrix of ``_stack``."""
     n_deg = macaulay_degree(ts.degrees)
     shifts = [shift_index(ts.nvars, n_deg, e) for e in ts.degrees]
     return _stack([ts], ts.degrees, shifts,
@@ -205,21 +195,23 @@ def check_shape(shape) -> None:
                        f"{DEFAULT_MAX_CELLS} cells")
 
 
+def _check_forms(forms, field: Field, nvars: int, degrees) -> None:
+    """Raise unless each form has this field, nvars and, if nonzero, degree."""
+    for f, e in zip(forms, degrees):
+        if f.field != field:
+            raise MixedFields("all forms must live in one field")
+        if f.nvars != nvars:
+            raise ArityMismatch("form arity differs from the test system")
+        if f.terms and f.degree != e:
+            raise DegreeMismatch(f"a form of degree {f.degree} is listed "
+                                 f"with degree {e}")
+
+
 def _verdicts(tss) -> list:
-    """Emptiness verdicts of test systems that share nvars, degrees and
-    field, in order: each is validated, one with a zero form
-    short-circuits, and the others are decided in stacks of at most
-    _STACK_CELLS cells (one matrix where a matrix is larger)."""
+    """Emptiness verdicts, in order, of test systems that share nvars,
+    degrees and field: one with a zero form short-circuits, the others go
+    in stacks of at most _STACK_CELLS cells, or one matrix each."""
     nvars, degrees = tss[0].nvars, tss[0].degrees
-    for ts in tss:
-        for f, e in zip(ts.forms, ts.degrees):
-            if f.field != ts.field:
-                raise MixedFields("all forms must live in one field")
-            if f.nvars != ts.nvars:
-                raise ArityMismatch("form arity differs from the test system")
-            if f.terms and f.degree != e:
-                raise DegreeMismatch(f"a form of degree {f.degree} is listed "
-                                     f"with degree {e}")
     n_deg = macaulay_degree(degrees)
     ncols = len(monomials(nvars, n_deg))
     out = [EmptinessVerdict(empty=False, rank=0, degree=n_deg, nrows=0,
@@ -231,8 +223,10 @@ def _verdicts(tss) -> list:
     size = max(1, _STACK_CELLS // (nrows * ncols))
     for lo in range(0, len(live), size):
         batch = live[lo:lo + size]
-        a = _stack([tss[i] for i in batch], degrees, shifts, ncols)
-        for i, rank in zip(batch, _eliminate(a, tss[0].field).tolist()):
+        # no name keeps a stack alive while the next one is filled
+        ranks = _eliminate(_stack([tss[i] for i in batch], degrees, shifts,
+                                  ncols), tss[0].field)
+        for i, rank in zip(batch, ranks.tolist()):
             out[i] = EmptinessVerdict(empty=(rank == ncols), rank=rank,
                                       degree=n_deg, nrows=nrows, ncols=ncols)
     return out
@@ -240,7 +234,14 @@ def _verdicts(tss) -> list:
 
 def projective_empty(ts: TestSystem) -> EmptinessVerdict:
     """Decide whether the test system's zero set in P^n is empty over the closure."""
+    _check_forms(ts.forms, ts.field, ts.nvars, ts.degrees)
     return _verdicts([ts])[0]
+
+
+def _restrict(f: Poly, v: int) -> Poly:
+    """f with X_v, X_{v+1}, ... set to 0, as a form in X_0..X_{v-1}."""
+    return Poly(f.field, v, f.degree,
+                {e[:v]: a for e, a in f.terms.items() if not any(e[v:])})
 
 
 def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
@@ -248,8 +249,7 @@ def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
 
     ``coords`` must be the trailing variables X_{nvars-c}..X_{nvars-1},
     and ``ts`` must end with their coordinate forms, as the recipes build
-    it: those forms are dropped, and every other form loses its terms in
-    those variables and then the variables themselves.
+    it: those forms are dropped, and the others are restricted.
     """
     c = len(coords)
     if not c:
@@ -260,20 +260,16 @@ def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
                                       for j in coords)):
         raise ValueError("only trailing variables whose coordinate forms "
                          "end the test system can be sliced")
-    forms = tuple(
-        Poly(ts.field, nvars, f.degree,
-             {e[:nvars]: a for e, a in f.terms.items() if not any(e[nvars:])})
-        for f in ts.forms[:-c])
+    forms = tuple(_restrict(f, nvars) for f in ts.forms[:-c])
     return TestSystem(ts.cert, ts.field, nvars, forms, ts.degrees[:-c])
 
 
 def decide_many(systems, cert: str, chains=None) -> list:
     """``[decide(system, cert) for system in systems]`` for systems of one
-    pattern and field, whose sliced matrices share one shape and are
-    decided in stacks.  ``chains[i]``, when given, holds minors J_{s+1},
-    J_{s+2}, ... of systems[i] (``build_test_system``).  TooLarge is
-    raised before anything is built if the matrix exceeds
-    DEFAULT_MAX_CELLS cells."""
+    pattern and field: f and J_{s+1}..J_{s+m} restricted to X_0..X_{s+m-1}
+    and decided in stacks.  ``chains[i]``, if given, holds checked minors
+    J_{s+1}, J_{s+2}, ... of systems[i], and the rest are computed; a
+    matrix over DEFAULT_MAX_CELLS cells raises TooLarge before any work."""
     systems = list(systems)
     if not systems:
         return []
@@ -281,10 +277,20 @@ def decide_many(systems, cert: str, chains=None) -> list:
     check_shape(recipe_macaulay_shape(pat.n, pat.s, pat.d, cert))
     if any(s.pattern != pat or s.field != field for s in systems):
         raise PatternViolation("decide_many needs one pattern and field")
-    coords = cert_recipe(cert, pat.n, pat.s)[1]
-    return _verdicts([
-        coordinate_slice(build_test_system(system, cert, chain), coords)
-        for system, chain in zip(systems, chains or [()] * len(systems))])
+    minors = cert_recipe(cert, pat.n, pat.s)[0]
+    v = pat.s + len(minors)
+    degrees = recipe_degrees(pat, cert)[:v]
+    tss = []
+    if chains is None:
+        chains = [()] * len(systems)
+    for system, chain in zip(systems, chains, strict=True):
+        chain = tuple(chain[:len(minors)])
+        _check_forms(chain, field, pat.n + 1, degrees[pat.s:])
+        forms = (system.forms + chain + tuple(
+            jacobian_minor(system, k) for k in minors[len(chain):]))
+        tss.append(TestSystem(cert, field, v,
+                              tuple(_restrict(f, v) for f in forms), degrees))
+    return _verdicts(tss)
 
 
 def decide(system: PolySystem, cert: str) -> EmptinessVerdict:

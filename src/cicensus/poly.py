@@ -435,20 +435,22 @@ def cert_recipe(cert: str, n: int, s: int):
     return tuple(range(s + 1, s + m + 1)), tuple(range(s + m, n + 1))
 
 
-def build_test_system(system: PolySystem, cert: str,
-                      chain=()) -> TestSystem:
+def recipe_degrees(pattern: DegreePattern, cert: str) -> tuple:
+    """Degrees of the recipe's n+1 forms: d, sigma per minor, 1 per X_j."""
+    minors, coords = cert_recipe(cert, pattern.n, pattern.s)
+    return pattern.d + (pattern.sigma,) * len(minors) + (1,) * len(coords)
+
+
+def build_test_system(system: PolySystem, cert: str) -> TestSystem:
     """Assemble the n+1 forms whose emptiness decides the given certificate:
-    f, then the recipe's minors (degree sigma), then its coordinate forms.
-    ``chain`` may hold J_{s+1}, J_{s+2}, ... of this system, computed
-    once for several certificates; the minors it lacks are computed."""
+    f, then the recipe's minors (degree sigma), then its coordinate forms."""
     pat = system.pattern
     minors, coords = cert_recipe(cert, pat.n, pat.s)
     nvars = pat.n + 1
-    forms = (system.forms + tuple(chain[:len(minors)])
-             + tuple(jacobian_minor(system, k) for k in minors[len(chain):])
+    forms = (system.forms + tuple(jacobian_minor(system, k) for k in minors)
              + tuple(Poly.variable(system.field, nvars, j) for j in coords))
-    degrees = pat.d + (pat.sigma,) * len(minors) + (1,) * len(coords)
-    return TestSystem(cert, system.field, nvars, forms, degrees)
+    return TestSystem(cert, system.field, nvars, forms,
+                      recipe_degrees(pat, cert))
 
 
 def compose_linear(f: Poly, matrix) -> Poly:

@@ -49,8 +49,8 @@ CENSUS_CASES = (
      CERTS, True),
     ("census-3-2-22-q1009", 3, 2, (2, 2), 1009, "monte_carlo", 30, 5, CERTS,
      False),
-    # five batches of 7, 7, 7, 7 and 2 trials (80x56 matrices), over two
-    # workers
+    # two batches of 15 trials, one per worker; the 80x56 matrices of
+    # nons and irr go in stacks of 7, 7 and 1
     ("census-3-2-22-q1009-jobs2", 3, 2, (2, 2), 1009, "monte_carlo", 30, 5,
      CERTS, False, 2),
     ("census-4-2-22-q1009", 4, 2, (2, 2), 1009, "monte_carlo", 30, 1,
