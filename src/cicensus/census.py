@@ -7,10 +7,12 @@ projective point has exactly q-1 nonzero representatives).  Per-trial
 seeds are derived from the master seed by a counter construction, which
 makes trials independent, parallelizable, and reproducible: identical
 parameters and seed give byte-identical reports up to the volatile
-timestamp/runtime fields.  A census decides its trials in batches: each
-system's minor chain is built once for every certificate, and each
-certificate decides the whole batch in stacks (``decide_many``); results
-are read back in index order, so reports do not depend on ``jobs``.
+timestamp/runtime fields.  A census decides its trials in batches of
+coefficient arrays, one int64 row per trial and form: Monte Carlo rows
+are drawn as ``sample_system`` draws them, exhaustive rows are read from
+the system index, and each certificate decides the whole batch in stacks
+(``decide_coeffs``) without building a Poly; results are read back in
+index order, so reports do not depend on ``jobs``.
 
 A Monte Carlo census reports "violated" when its pass count is below
 the theoretical floor by an exact one-sided binomial test at the 3-sigma
@@ -42,10 +44,10 @@ from .bounds import (probability_lower_bound, projective_count,
                      recipe_macaulay_shape)
 from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
-from .macaulay import (check_shape, decide_many, projective_empty,
+from .macaulay import (check_shape, decide_coeffs, projective_empty,
                        rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
-                   cert_recipe, jacobian_minor, monomials, shift_index)
+                   form_from_coeffs, monomials, shift_index)
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_POINT_CAP = 200_000
@@ -69,23 +71,35 @@ def trial_seed(master, index: int) -> str:
 # Sampling and enumeration
 
 
+def _random_vector(rng, q: int, size: int) -> list:
+    """A uniform nonzero vector of `size` encodings in F_q."""
+    while True:
+        vec = [rng.randrange(q) for _ in range(size)]
+        if any(vec):
+            return vec
+
+
 def _random_form(rng, field, nvars, degree):
     """Form of the given degree with a uniform nonzero coefficient vector."""
-    mons = monomials(nvars, degree)
-    while True:
-        vec = [rng.randrange(field.q) for _ in mons]
-        if any(vec):
-            return Poly(field, nvars, degree,
-                        {m: c for m, c in zip(mons, vec) if c})
+    return form_from_coeffs(field, nvars, degree, _random_vector(
+        rng, field.q, len(monomials(nvars, degree))))
+
+
+def _sampled_vectors(pattern: DegreePattern, q: int, seed) -> list:
+    """The coefficient vector of each form of the system sampled on the
+    stream random.Random(seed)."""
+    rng = random.Random(seed)
+    return [_random_vector(rng, q, len(monomials(pattern.n + 1, e)))
+            for e in pattern.d]
 
 
 def sample_system(n: int, s: int, d, q: int, seed) -> PolySystem:
     """Uniform system: each form a uniform nonzero coefficient vector."""
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
     field = field_from_order(q)
-    rng = random.Random(seed)
-    forms = tuple(_random_form(rng, field, n + 1, di) for di in pattern.d)
-    return PolySystem(pattern=pattern, field=field, forms=forms)
+    return PolySystem(pattern=pattern, field=field, forms=tuple(
+        form_from_coeffs(field, n + 1, e, vec)
+        for e, vec in zip(pattern.d, _sampled_vectors(pattern, q, seed))))
 
 
 def system_space_size(n: int, s: int, d, q: int) -> int:
@@ -95,29 +109,44 @@ def system_space_size(n: int, s: int, d, q: int) -> int:
                      for di in pattern.d)
 
 
+def _exhaustive_size(pattern: DegreePattern, q: int, cap) -> int:
+    """system_space_size, or TooLarge above the cap or int64 indexing."""
+    total = system_space_size(pattern.n, pattern.s, pattern.d, q)
+    if cap is not None and total > cap:
+        raise TooLarge(f"{total} systems exceed the exhaustive cap {cap}")
+    if total >= 2 ** 63:
+        raise TooLarge(f"{total} systems are too many to index in int64")
+    return total
+
+
+def _enumerated_vectors(pattern: DegreePattern, q: int, indices) -> list:
+    """One (B, M_i) coefficient array per form of the systems at the
+    given indices (a range) of the enumeration: system i is a point of
+    each P^{M_i - 1}(F_q), in the order of projective_points, its index
+    read in mixed radix with the first form most significant."""
+    i = np.arange(indices.start, indices.stop, dtype=np.int64)
+    out = []
+    for e in reversed(pattern.d):
+        dim = len(monomials(pattern.n + 1, e)) - 1
+        size = projective_count(dim, q)
+        out.append(_points_at(q, dim, i % size))
+        i = i // size
+    return out[::-1]
+
+
 def enumerate_systems(n: int, s: int, d, q: int,
                       cap: int | None = DEFAULT_EXHAUSTIVE_CAP):
     """Every system once, via canonical projective representatives."""
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
     field = field_from_order(q)
-    total = system_space_size(n, s, d, q)
-    if cap is not None and total > cap:
-        raise TooLarge(f"{total} systems exceed the exhaustive cap {cap}")
-    mon_lists = [monomials(n + 1, di) for di in pattern.d]
-
-    def rec(i):
-        if i == s:
-            yield ()
-            return
-        for head in projective_points(field, len(mon_lists[i]) - 1):
-            for tail in rec(i + 1):
-                yield (head,) + tail
-
-    for vecs in rec(0):
-        forms = tuple(Poly(field, n + 1, pattern.d[i],
-                           {m: c for m, c in zip(mon_lists[i], vecs[i]) if c})
-                      for i in range(s))
-        yield PolySystem(pattern=pattern, field=field, forms=forms)
+    total = _exhaustive_size(pattern, q, cap)
+    for lo in range(0, total, _BLOCK):
+        vectors = _enumerated_vectors(pattern, q,
+                                      range(lo, min(lo + _BLOCK, total)))
+        for vecs in zip(*(v.tolist() for v in vectors)):
+            yield PolySystem(pattern=pattern, field=field, forms=tuple(
+                form_from_coeffs(field, n + 1, e, vec)
+                for e, vec in zip(pattern.d, vecs)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +162,31 @@ def projective_points(field: Field, n: int):
             yield prefix + tail
 
 
-def _point_blocks(field: Field, n: int):
-    """P^n(F_q) as int64 arrays of at most _BLOCK rows, in the order of
-    projective_points.  weights[L] = q^(n-L) points have lead L, from
-    starts[L] on; point i has the largest L with starts[L] <= i, and its
-    coordinates after X_L are i - starts[L] written in base q.  A space
-    of 2^63 points or more cannot be indexed so and raises TooLarge."""
-    q = field.q
-    if projective_count(n, q) >= 2 ** 63:
-        raise TooLarge(f"P^{n}(F_{q}) has too many points to index in int64")
+def _points_at(q: int, n: int, i):
+    """Points i (an int64 array) of P^n(F_q) in the order of
+    projective_points, one row each.  weights[L] = q^(n-L) points have
+    lead L, from starts[L] on; point i has the largest L with starts[L]
+    <= i, and its coordinates after X_L are i - starts[L] written in
+    base q."""
     weights = q ** np.arange(n, -1, -1, dtype=np.int64)
     starts = np.cumsum(weights) - weights
-    total = int(starts[-1]) + 1
+    lead = np.searchsorted(starts, i, side="right") - 1
+    pts = (i - starts[lead])[:, None] // weights % q
+    pts[np.arange(i.size), lead] = 1
+    return pts
+
+
+def _point_blocks(field: Field, n: int):
+    """P^n(F_q) as int64 arrays of at most _BLOCK rows, in the order of
+    projective_points.  A space of 2^63 points or more cannot be indexed
+    in int64 and raises TooLarge."""
+    q = field.q
+    total = projective_count(n, q)
+    if total >= 2 ** 63:
+        raise TooLarge(f"P^{n}(F_{q}) has too many points to index in int64")
     for lo in range(0, total, _BLOCK):
-        i = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
-        lead = np.searchsorted(starts, i, side="right") - 1
-        pts = (i - starts[lead])[:, None] // weights % q
-        pts[np.arange(i.size), lead] = 1
-        yield pts
+        yield _points_at(q, n, np.arange(lo, min(lo + _BLOCK, total),
+                                         dtype=np.int64))
 
 
 def _common_zeros(forms, field: Field, emb, pts):
@@ -410,28 +446,36 @@ class CensusReport:
         return any(cs.verdict == "violated" for cs in self.per_cert.values())
 
 
-def _batch(sample, certs, count_points: bool, keep_trials: bool, trials):
-    """Decide a batch of trials: ``trials`` is a list of systems, or, with
-    ``sample = (n, s, d, q, master)``, a range of Monte Carlo trial
-    indices, each sampled on its own seeded stream.  Each system's minor
-    chain is built once, as far as the certificates reach, and each
-    certificate decides the whole batch in one ``decide_many`` call.
-    Returns (verdicts, points, system text) per trial, in order."""
-    if sample:
-        n, s, d, q, master = sample
-        trials = [sample_system(n, s, d, q, trial_seed(master, i))
-                  for i in trials]
-    pat = trials[0].pattern
-    reach = max((len(cert_recipe(cert, pat.n, pat.s)[0]) for cert in certs),
-                default=0)
-    chains = [tuple(jacobian_minor(system, k)
-                    for k in range(pat.s + 1, pat.s + reach + 1))
-              for system in trials]
-    decided = {cert: decide_many(trials, cert, chains) for cert in certs}
-    return [({cert: decided[cert][i].empty for cert in certs},
-             count_zf_points(system) if count_points else None,
-             system.serialize() if keep_trials else None)
-            for i, system in enumerate(trials)]
+def _batch(spec, certs, count_points: bool, keep_trials: bool, trials):
+    """Decide the trials of a census, a range of indices, with ``spec =
+    (pattern, q, mode, seed)``: Monte Carlo trial i is drawn from its own
+    stream random.Random(trial_seed(seed, i)), as ``sample_system`` draws
+    it, and exhaustive trial i is system i of ``enumerate_systems``.
+    Their coefficient vectors fill one array per form, from which each
+    certificate decides the whole batch (``decide_coeffs``); a Poly is
+    built only to count points or to keep the system text.  Returns
+    (verdicts, points, system text) per trial, in order."""
+    pattern, q, mode, seed = spec
+    field = field_from_order(q)
+    if mode == "exhaustive":
+        forms = _enumerated_vectors(pattern, q, trials)
+    else:
+        rows = [_sampled_vectors(pattern, q, trial_seed(seed, i))
+                for i in trials]
+        forms = [np.array(vecs, dtype=np.int64) for vecs in zip(*rows)]
+    decided = {cert: decide_coeffs(pattern, field, forms, cert)
+               for cert in certs}
+    out = []
+    for i in range(len(trials)):
+        system = None
+        if count_points or keep_trials:
+            system = PolySystem(pattern=pattern, field=field, forms=tuple(
+                form_from_coeffs(field, pattern.n + 1, e, f[i].tolist())
+                for f, e in zip(forms, pattern.d)))
+        out.append(({cert: decided[cert][i].empty for cert in certs},
+                    count_zf_points(system) if count_points else None,
+                    system.serialize() if keep_trials else None))
+    return out
 
 
 def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = None,
@@ -457,30 +501,27 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
     if count_points and projective_count(n, q) > CENSUS_COUNT_CAP:
         raise TooLarge(f"P^{n}(F_{q}) exceeds {CENSUS_COUNT_CAP} points")
     if mode == "exhaustive":
-        total = system_space_size(n, s, d, q)
-        systems = enumerate_systems(n, s, d, q, cap=exhaustive_cap)
-        batches = iter(lambda: list(itertools.islice(systems, _BATCH)), [])
-        results = map(partial(_batch, None, certs, count_points, keep_trials),
-                      batches)
+        total = _exhaustive_size(pattern, q, exhaustive_cap)
+        jobs, step = 1, _BATCH
     elif mode == "monte_carlo":
         if trials is None or trials < 1:
             raise PatternViolation("monte_carlo mode needs a positive trial count")
         if seed is None:
             seed = random.randrange(1 << 48)
         total = trials
-        fn = partial(_batch, (n, s, tuple(d), q, seed), certs, count_points,
-                     keep_trials)
         jobs = min(jobs, trials, os.cpu_count() or 1)
         step = min(_BATCH, -(-trials // jobs))
-        ranges = [range(lo, min(lo + step, trials))
-                  for lo in range(0, trials, step)]
-        if jobs > 1:
-            with Pool(jobs) as pool:
-                results = pool.map(fn, ranges)
-        else:
-            results = map(fn, ranges)
     else:
         raise PatternViolation(f"unknown census mode {mode!r}")
+    fn = partial(_batch, (pattern, q, mode, seed), certs, count_points,
+                 keep_trials)
+    ranges = (range(lo, min(lo + step, total))
+              for lo in range(0, total, step))
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            results = pool.map(fn, ranges)
+    else:
+        results = map(fn, ranges)
     results = itertools.chain.from_iterable(results)
 
     # one pass in index order; a record is held only when trials are kept,

@@ -14,20 +14,24 @@ forms always meet in projective n-space, so the gate short-circuits to
 
 The ``stci``, ``ci`` and ``irr`` recipes end with coordinate forms X_j.
 The common zeros of all n+1 forms are the common zeros of the others on
-the linear subspace {X_j = 0}, so ``decide_many`` never builds the X_j:
-it sets them to 0 in f and the recipe's m minors and deletes them, which
+the linear subspace {X_j = 0}, so a decision never builds the X_j: it
+sets them to 0 in f and the recipe's m minors and deletes them, which
 leaves s + m forms in s + m variables.  A linear form adds e - 1 = 0 to
 N, so N is unchanged, and the gate is exact, so the verdict is too; only
 the matrix shrinks (``irr`` at (5,3,(2,2,2)): 2682x1287 becomes
-882x495).  The X_j are the trailing variables, so the slice cuts every
-exponent short; the recipes never slice X_0.
+882x495).  The X_j are the trailing variables, so the slice keeps a
+fixed set of columns of each form (``poly.restrict_index``), and the
+minors are computed from partials sliced the same way; the recipes
+never slice X_0.
 
 Every system of one pattern gives a sliced matrix of one shape, known in
-closed form (``bounds.recipe_macaulay_shape``), so ``decide_many``
-decides a certificate for many systems at once: it fills int64
-(B, R, C) stacks of at most _STACK_CELLS cells, one scatter per form,
-and eliminates each in place in lockstep (``_echelon_stack``).  A matrix
-over DEFAULT_MAX_CELLS cells raises TooLarge before any form is built.
+closed form (``bounds.recipe_macaulay_shape``), so a certificate is
+decided for many systems at once, from one int64 (B, M) coefficient
+array per form (``decide_coeffs``; ``decide_many`` converts its systems
+at the boundary): the forms fill int64 (B, R, C) stacks of at most
+_STACK_CELLS cells, one scatter per form, and each stack is eliminated
+in place in lockstep (``_echelon_stack``).  A matrix over
+DEFAULT_MAX_CELLS cells raises TooLarge before any form is built.
 Forms are validated where they come from outside: in
 ``projective_empty`` and the minors handed to ``decide_many``.
 """
@@ -43,8 +47,9 @@ from .errors import (ArityMismatch, DegreeMismatch, EmptyInput, MixedFields,
                      PatternViolation, TooLarge)
 from .field import Field
 from .poly import build_test_system  # noqa: F401  (importable from here)
-from .poly import (Poly, PolySystem, TestSystem, cert_recipe, jacobian_minor,
-                   monomials, recipe_degrees, shift_index)
+from .poly import (DegreePattern, Poly, PolySystem, TestSystem, cert_recipe,
+                   coeff_array, minor_arrays, monomials, recipe_degrees,
+                   restrict_index, shift_index)
 
 _STACK_CELLS = 1 << 15  # cells of one stack of matrices: 256 KiB of int64
 DEFAULT_MAX_CELLS = 1 << 25  # cells of the largest matrix decided
@@ -157,24 +162,26 @@ def rank_over_field(rows, field: Field):
     return _eliminate(np.array(rows, dtype=np.int64), field)
 
 
-def _stack(tss, degrees, shifts, ncols):
-    """The int64 stack of the Macaulay matrices of test systems of one
-    shape: the rows of form j are m * g_j for the multipliers m of degree
-    N - e_j in canonical order, one scatter per form of every system's
-    coefficient vector through shift_index."""
-    nvars = tss[0].nvars
-    a = np.zeros((len(tss), sum(len(sh) for sh in shifts), ncols),
+def _stack(forms, shifts, ncols):
+    """The int64 stack of the Macaulay matrices of B systems of one shape,
+    given as one (B, len(sh[0])) coefficient array per form: the rows of
+    form j are m * g_j for the multipliers m of degree N - e_j in
+    canonical order, one scatter per form through shift_index."""
+    a = np.zeros((len(forms[0]), sum(len(sh) for sh in shifts), ncols),
                  dtype=np.int64)
     r = 0
-    for j, (e, sh) in enumerate(zip(degrees, shifts)):
+    for g, sh in zip(forms, shifts):
         # the positions m * x of one row are distinct, so zero
         # coefficients may be written too
-        coeffs = np.array([[ts.forms[j].terms.get(x, 0)
-                            for x in monomials(nvars, e)] for ts in tss],
-                          dtype=np.int64)
-        a[:, np.arange(r, r + len(sh))[:, None], sh] = coeffs[:, None]
+        a[:, np.arange(r, r + len(sh))[:, None], sh] = g[:, None]
         r += len(sh)
     return a
+
+
+def _coeffs(ts: TestSystem):
+    """A test system's forms as coefficient arrays of one row each."""
+    return [coeff_array([f], ts.nvars, e)
+            for f, e in zip(ts.forms, ts.degrees)]
 
 
 def macaulay_instance(ts: TestSystem):
@@ -182,8 +189,7 @@ def macaulay_instance(ts: TestSystem):
     out as one matrix of ``_stack``."""
     n_deg = macaulay_degree(ts.degrees)
     shifts = [shift_index(ts.nvars, n_deg, e) for e in ts.degrees]
-    return _stack([ts], ts.degrees, shifts,
-                  len(monomials(ts.nvars, n_deg)))[0]
+    return _stack(_coeffs(ts), shifts, len(monomials(ts.nvars, n_deg)))[0]
 
 
 def check_shape(shape) -> None:
@@ -207,26 +213,26 @@ def _check_forms(forms, field: Field, nvars: int, degrees) -> None:
                                  f"with degree {e}")
 
 
-def _verdicts(tss) -> list:
-    """Emptiness verdicts, in order, of test systems that share nvars,
-    degrees and field: one with a zero form short-circuits, the others go
-    in stacks of at most _STACK_CELLS cells, or one matrix each."""
-    nvars, degrees = tss[0].nvars, tss[0].degrees
+def _verdicts(forms, degrees, field: Field) -> list:
+    """Emptiness verdicts of B systems of len(degrees) forms in as many
+    variables, given as one (B, M_j) coefficient array per form: one with
+    a zero form short-circuits, the others go in stacks of at most
+    _STACK_CELLS cells, or one matrix each."""
+    nvars = len(degrees)
     n_deg = macaulay_degree(degrees)
     ncols = len(monomials(nvars, n_deg))
     out = [EmptinessVerdict(empty=False, rank=0, degree=n_deg, nrows=0,
-                            ncols=ncols)
-           if any(f.is_zero() for f in ts.forms) else None for ts in tss]
-    live = [i for i, v in enumerate(out) if v is None]
+                            ncols=ncols)] * len(forms[0])
+    live = np.logical_and.reduce([g.any(axis=1) for g in forms]).nonzero()[0]
     shifts = [shift_index(nvars, n_deg, e) for e in degrees]
     nrows = sum(len(sh) for sh in shifts)
     size = max(1, _STACK_CELLS // (nrows * ncols))
     for lo in range(0, len(live), size):
         batch = live[lo:lo + size]
         # no name keeps a stack alive while the next one is filled
-        ranks = _eliminate(_stack([tss[i] for i in batch], degrees, shifts,
-                                  ncols), tss[0].field)
-        for i, rank in zip(batch, ranks.tolist()):
+        ranks = _eliminate(_stack([g[batch] for g in forms], shifts, ncols),
+                           field)
+        for i, rank in zip(batch.tolist(), ranks.tolist()):
             out[i] = EmptinessVerdict(empty=(rank == ncols), rank=rank,
                                       degree=n_deg, nrows=nrows, ncols=ncols)
     return out
@@ -235,7 +241,7 @@ def _verdicts(tss) -> list:
 def projective_empty(ts: TestSystem) -> EmptinessVerdict:
     """Decide whether the test system's zero set in P^n is empty over the closure."""
     _check_forms(ts.forms, ts.field, ts.nvars, ts.degrees)
-    return _verdicts([ts])[0]
+    return _verdicts(_coeffs(ts), ts.degrees, ts.field)[0]
 
 
 def _restrict(f: Poly, v: int) -> Poly:
@@ -264,12 +270,33 @@ def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
     return TestSystem(ts.cert, ts.field, nvars, forms, ts.degrees[:-c])
 
 
+def _recipe_arrays(pattern: DegreePattern, field: Field, forms, cert: str):
+    """(arrays, degrees) of the certificate's sliced test systems of B
+    systems of the pattern, given as one (B, len(monomials(n+1, d_i)))
+    array per form f_i: f and the recipe's m minors, all restricted to
+    X_0..X_{v-1}, v = s + m."""
+    minors = cert_recipe(cert, pattern.n, pattern.s)[0]
+    v = pattern.s + len(minors)
+    sliced = [f[:, restrict_index(pattern.n + 1, v, e)]
+              for f, e in zip(forms, pattern.d)]
+    return (sliced + minor_arrays(forms, pattern, field, minors, v),
+            recipe_degrees(pattern, cert)[:v])
+
+
+def decide_coeffs(pattern: DegreePattern, field: Field, forms, cert: str):
+    """``decide_many`` for B systems of the pattern over the field given as
+    one int64 (B, len(monomials(n+1, d_i))) coefficient array per form
+    f_i; no Poly is built.  The caller checks the matrix shape."""
+    return _verdicts(*_recipe_arrays(pattern, field, forms, cert), field)
+
+
 def decide_many(systems, cert: str, chains=None) -> list:
     """``[decide(system, cert) for system in systems]`` for systems of one
     pattern and field: f and J_{s+1}..J_{s+m} restricted to X_0..X_{s+m-1}
     and decided in stacks.  ``chains[i]``, if given, holds checked minors
-    J_{s+1}, J_{s+2}, ... of systems[i], and the rest are computed; a
-    matrix over DEFAULT_MAX_CELLS cells raises TooLarge before any work."""
+    J_{s+1}, J_{s+2}, ... of systems[i], used in place of the computed
+    ones; a matrix over DEFAULT_MAX_CELLS cells raises TooLarge before any
+    work."""
     systems = list(systems)
     if not systems:
         return []
@@ -277,20 +304,18 @@ def decide_many(systems, cert: str, chains=None) -> list:
     check_shape(recipe_macaulay_shape(pat.n, pat.s, pat.d, cert))
     if any(s.pattern != pat or s.field != field for s in systems):
         raise PatternViolation("decide_many needs one pattern and field")
-    minors = cert_recipe(cert, pat.n, pat.s)[0]
-    v = pat.s + len(minors)
-    degrees = recipe_degrees(pat, cert)[:v]
-    tss = []
-    if chains is None:
-        chains = [()] * len(systems)
-    for system, chain in zip(systems, chains, strict=True):
-        chain = tuple(chain[:len(minors)])
-        _check_forms(chain, field, pat.n + 1, degrees[pat.s:])
-        forms = (system.forms + chain + tuple(
-            jacobian_minor(system, k) for k in minors[len(chain):]))
-        tss.append(TestSystem(cert, field, v,
-                              tuple(_restrict(f, v) for f in forms), degrees))
-    return _verdicts(tss)
+    forms = [coeff_array([x.forms[i] for x in systems], pat.n + 1, e)
+             for i, e in enumerate(pat.d)]
+    arrays, degrees = _recipe_arrays(pat, field, forms, cert)
+    if chains is not None:
+        v = len(degrees)
+        keep = restrict_index(pat.n + 1, v, pat.sigma)
+        for i, (_, chain) in enumerate(zip(systems, chains, strict=True)):
+            chain = tuple(chain[:v - pat.s])
+            _check_forms(chain, field, pat.n + 1, degrees[pat.s:])
+            for g, minor in zip(arrays[pat.s:], chain):
+                g[i] = coeff_array([minor], pat.n + 1, pat.sigma)[0, keep]
+    return _verdicts(arrays, degrees, field)
 
 
 def decide(system: PolySystem, cert: str) -> EmptinessVerdict:

@@ -9,6 +9,15 @@ so X_0^d always leads.
 Degrees are tracked explicitly so that the zero polynomial keeps the
 nominal degree of the construction that produced it (a Jacobian minor of
 degree sigma may collapse to zero in small characteristic).
+
+A batch of B forms of one degree e in v variables is also written as one
+int64 (B, len(monomials(v, e))) coefficient array.  The Jacobian minors
+are computed on such arrays (``minor_arrays``): partials are gathers
+through ``shift_index``, products are one scatter per monomial of the
+first factor, and a minor is their cofactor expansion.  Setting X_j = 0
+commutes with all of these, so a certificate's minors are computed in
+the variables its slice keeps; ``jacobian_minor`` is the one-system case
+in all n+1 variables, returned as a Poly.
 """
 
 from __future__ import annotations
@@ -355,6 +364,116 @@ class TestSystem:
             raise ArityMismatch("degree list does not match form list")
 
 
+# ---------------------------------------------------------------------------
+# Coefficient arrays: a batch of B forms of one degree e in v variables is
+# one int64 (B, len(monomials(v, e))) array, in monomials(v, e) order.
+
+
+def coeff_array(forms, nvars: int, degree: int):
+    """The coefficient vectors of the forms, one row each."""
+    mons = monomials(nvars, degree)
+    return np.array([[f.terms.get(x, 0) for x in mons] for f in forms],
+                    dtype=np.int64)
+
+
+def form_from_coeffs(field: Field, nvars: int, degree: int, coeffs) -> Poly:
+    """The form whose coefficient vector (Python ints) is coeffs."""
+    return Poly(field, nvars, degree,
+                {m: c for m, c in zip(monomials(nvars, degree), coeffs) if c})
+
+
+@functools.lru_cache(maxsize=None)
+def restrict_index(nvars: int, v: int, degree: int):
+    """Read-only positions in monomials(nvars, degree) of monomials(v,
+    degree) padded with zero exponents: the columns of a form that survive
+    X_v = ... = X_{nvars-1} = 0, read as a form in X_0..X_{v-1}."""
+    pos = {x: i for i, x in enumerate(monomials(nvars, degree))}
+    pad = (0,) * (nvars - v)
+    index = np.array([pos[m + pad] for m in monomials(v, degree)],
+                     dtype=np.int64)
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_index(nvars: int, degree: int, v: int):
+    """Read-only (positions, factors), both (len(monomials(v, degree - 1)),
+    nvars): for m_i in monomials(v, degree - 1), padded, entry [i, j] of
+    positions locates m_i * X_j in monomials(nvars, degree), and entry
+    [i, j] of factors is the exponent of X_j in m_i * X_j."""
+    rows = restrict_index(nvars, v, degree - 1)
+    positions = shift_index(nvars, degree, 1)[rows]
+    factors = np.ones_like(positions)
+    factors[:, :v] += np.array(monomials(v, degree - 1), dtype=np.int64)
+    positions.flags.writeable = factors.flags.writeable = False
+    return positions, factors
+
+
+def _product(a, da: int, b, db: int, v: int, field: Field):
+    """Row-wise product of forms in v variables: a of degree da, b of
+    degree db; one scatter per monomial of a."""
+    shift = shift_index(v, da + db, db)
+    out = np.zeros((len(a), len(monomials(v, da + db))), dtype=np.int64)
+    for i, cols in enumerate(shift):
+        # the positions m_i * x of one row are distinct
+        out[:, cols] = field.add(out[:, cols], field.mul(a[:, i, None], b))
+    return out
+
+
+def _determinant(rows, degrees, v: int, field: Field):
+    """Cofactor expansion of a square matrix whose row i holds arrays of
+    forms of degree degrees[i] in v variables."""
+    def expand(r, cols):
+        if len(cols) == 1:
+            return rows[r][cols[0]]
+        acc = None
+        for pos, c in enumerate(cols):
+            term = _product(rows[r][c], degrees[r],
+                            expand(r + 1, cols[:pos] + cols[pos + 1:]),
+                            sum(degrees[r + 1:]), v, field)
+            acc = (term if acc is None
+                   else field.sub(acc, term) if pos % 2
+                   else field.add(acc, term))
+        return acc
+
+    return expand(0, list(range(len(rows))))
+
+
+def minor_arrays(forms, pattern: DegreePattern, field: Field, ks, v: int):
+    """The minors J_k, k in ks (``jacobian_minor``), of B systems of the
+    pattern with X_v, ..., X_n set to 0: one (B, len(monomials(v, sigma)))
+    array each, from one (B, len(monomials(n+1, d_i))) array per form f_i.
+    Setting X_j = 0 is a ring homomorphism, so the partials are sliced
+    before they are multiplied out: parts[i][:, :, j] is df_i/dX_j in
+    X_0..X_{v-1}."""
+    if not ks:
+        return []
+    n, s = pattern.n, pattern.s
+    parts = []
+    for f, e in zip(forms, pattern.d):
+        positions, factors = _partial_index(n + 1, e, v)
+        parts.append(field.mul(f[:, positions], factors % field.p))
+    out = []
+    for k in ks:
+        if k <= s + 2:
+            cols = [[part[:, :, j] for j in range(1, s)] for part in parts]
+        else:  # directions (1, t, ..., t^n), t = k s + c
+            cols = [[_combine(part, [pow(k * s + c, j, field.p)
+                                     for j in range(n + 1)], field)
+                     for c in range(1, s)] for part in parts]
+        rows = [row + [part[:, :, k - 1]] for row, part in zip(cols, parts)]
+        out.append(_determinant(rows, [e - 1 for e in pattern.d], v, field))
+    return out
+
+
+def _combine(parts, weights, field: Field):
+    """sum_j weights[j] * parts[:, :, j], weights in the prime subfield."""
+    acc = np.zeros(parts.shape[:2], dtype=np.int64)
+    for j, w in enumerate(weights):
+        acc = field.add(acc, field.mul(parts[:, :, j], w))
+    return acc
+
+
 def determinant(rows, field: Field, nvars: int, degree: int) -> Poly:
     """Cofactor-expansion determinant of a square matrix of polynomials.
 
@@ -383,14 +502,6 @@ def determinant(rows, field: Field, nvars: int, degree: int) -> Poly:
     return Poly(field, nvars, degree, dict(result.terms))
 
 
-def _directional(f: Poly, v) -> Poly:
-    """sum_j v_j df/dX_j for integers v_j, read in the prime subfield."""
-    acc = Poly.zero(f.field, f.nvars, max(f.degree - 1, 0))
-    for j, vj in enumerate(v):
-        acc = acc + f.partial(j).scale(f.field.from_int(vj))
-    return acc
-
-
 def jacobian_minor(system: PolySystem, k: int) -> Poly:
     """s x s minor J_k of the Jacobian J = (df_i/dX_j).
 
@@ -403,18 +514,15 @@ def jacobian_minor(system: PolySystem, k: int) -> Poly:
     rank, a codimension-2 locus that meets Z(f) when n - s >= 2.  Either
     way J_k = det(J M) for a fixed (n+1) x s matrix M, so J_k vanishes on
     Sing Z(f), where J has rank below s, in any characteristic, and it
-    has degree sigma.
+    has degree sigma.  Computed by ``minor_arrays`` in all n+1 variables.
     """
-    n, s = system.pattern.n, system.pattern.s
-    if not s + 1 <= k <= n + 1:
-        raise IndexOutOfRange(f"k={k} outside [{s + 1}, {n + 1}]")
-    if k <= s + 2:
-        cols = [[f.partial(j) for j in range(1, s)] for f in system.forms]
-    else:
-        cols = [[_directional(f, [(k * s + c) ** j for j in range(n + 1)])
-                 for c in range(1, s)] for f in system.forms]
-    rows = [row + [f.partial(k - 1)] for row, f in zip(cols, system.forms)]
-    return determinant(rows, system.field, n + 1, system.pattern.sigma)
+    pat = system.pattern
+    if not pat.s + 1 <= k <= pat.n + 1:
+        raise IndexOutOfRange(f"k={k} outside [{pat.s + 1}, {pat.n + 1}]")
+    forms = [coeff_array([f], pat.n + 1, e)
+             for f, e in zip(system.forms, pat.d)]
+    row = minor_arrays(forms, pat, system.field, (k,), pat.n + 1)[0][0]
+    return form_from_coeffs(system.field, pat.n + 1, pat.sigma, row.tolist())
 
 
 def jacobian_det(system: PolySystem) -> Poly:

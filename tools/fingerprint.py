@@ -85,9 +85,10 @@ def _absirr_conics():
 
 
 # (n, s, d, q) of the systems whose minors the terms case hashes; the
-# F_27 case has n - s = 2, so its last minor takes the Vandermonde columns
+# F_27 case has n - s = 2, so its last minor takes the Vandermonde columns,
+# and the s = 1 and s = 3 cases give 1x1 and 3x3 determinants
 TERMS_PATTERNS = ((3, 2, (2, 2), 3), (3, 2, (2, 2), 16), (3, 2, (2, 2), 101),
-                  (4, 2, (2, 2), 27))
+                  (4, 2, (2, 2), 27), (3, 1, (3,), 5), (4, 3, (2, 2, 1), 16))
 
 
 def _terms():
