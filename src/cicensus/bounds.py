@@ -178,8 +178,12 @@ def g_of_b(b: int, n: int) -> GOfB:
 
 @functools.lru_cache(maxsize=None)
 def _divisors_from(b: int):
-    out = [f for f in range(2, b + 1) if b % f == 0]
-    return tuple(out)
+    """The divisors of b from 2 up, in order: each f <= sqrt(b) is paired
+    with b // f."""
+    if b < 2:
+        return ()
+    low = [f for f in range(1, math.isqrt(b) + 1) if b % f == 0]
+    return tuple(low[1:] + [b // f for f in reversed(low) if f * f != b])
 
 
 @functools.lru_cache(maxsize=None)

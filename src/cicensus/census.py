@@ -21,7 +21,9 @@ whose q-guard fails are reported as "vacuous" rather than asserted.
 
 Point counting and the brute-force emptiness search scan P^n(F_{q^m}) in
 int64 blocks of points, in the order of projective_points, evaluating
-every form on a whole block through the field's array mul and add.
+every form on a whole block through the field's array mul and add.  The
+factor search takes its candidate factors in the same blocks and ranks
+a whole block as one stack.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ DEFAULT_FACTOR_CAP = 200_000
 ORACLE_DIMS = (1, 2, 3)
 ORACLE_FIELDS = (2, 3, 5)
 ORACLE_MAX_BEZOUT = 8
-_BLOCK = 4096  # points per array in a point search, bounding its memory
-_BATCH = 64  # census trials decided together; decide_many cuts the stacks
+_BLOCK = 4096  # points or candidate factors per array, bounding its memory
+_BATCH = 64  # census trials decided together; macaulay cuts the stacks
 VIOLATION_ALPHA = Fraction(135, 100000)  # one-sided 3 sigma
 
 
@@ -274,10 +276,11 @@ def brute_force_empty(ts: TestSystem, max_ext: int | None = None,
 def brute_force_absirr(f: Poly) -> bool:
     """True iff f has no proper homogeneous factor over F_{q^m}, m <= deg(f).
 
-    Exhaustive search over candidate factors of degree <= deg(f)/2; the
-    cofactor is solved for by linear algebra.  A factor of an absolutely
-    reducible form is defined over an extension of degree at most deg(f),
-    hence the search depth.  More than DEFAULT_FACTOR_CAP candidates
+    Exhaustive search over candidate factors of degree <= deg(f)/2, taken
+    in the point blocks of P^{M-1}(F_{q^m}) and decided a block at a time
+    as one stack of rank problems; the cofactor is solved for by linear
+    algebra.  A factor of an absolutely reducible form is defined over an
+    extension of degree at most deg(f), hence the search depth.  More than DEFAULT_FACTOR_CAP candidates
     raise SearchSpaceTooLarge.
     """
     if f.is_zero():
@@ -300,16 +303,16 @@ def brute_force_absirr(f: Poly) -> bool:
     for m in range(1, deg + 1):
         ext, emb = field.extension(m)
         for a in range(1, deg // 2 + 1):
-            # rows g * m_b over the degree-deg monomials, then f; the
-            # first nb are independent because g != 0, so g divides f
-            # iff f adds nothing to their rank
+            # per candidate g, rows m_b * g over the degree-deg monomials,
+            # then f; the first nb are independent because g != 0, so g
+            # divides f iff f adds nothing to their rank
             shift = shift_index(nv, deg, a)
             nb = len(shift)
-            rows = np.zeros((nb + 1, len(f_vec)), dtype=np.int64)
-            rows[nb] = [emb[c] for c in f_vec]
-            for g_vec in projective_points(ext, shift.shape[1] - 1):
-                rows[np.arange(nb)[:, None], shift] = g_vec
-                if rank_over_field(rows, ext) == nb:
+            for g in _point_blocks(ext, shift.shape[1] - 1):
+                rows = np.zeros((len(g), nb + 1, len(f_vec)), dtype=np.int64)
+                rows[:, np.arange(nb)[:, None], shift] = g[:, None]
+                rows[:, nb] = [emb[c] for c in f_vec]
+                if (rank_over_field(rows, ext) == nb).any():
                     return False
     return True
 
@@ -453,8 +456,10 @@ def _batch(spec, certs, count_points: bool, keep_trials: bool, trials):
     it, and exhaustive trial i is system i of ``enumerate_systems``.
     Their coefficient vectors fill one array per form, from which each
     certificate decides the whole batch (``decide_coeffs``); a Poly is
-    built only to count points or to keep the system text.  Returns
-    (verdicts, points, system text) per trial, in order."""
+    built only to count points or to keep the system text.  Points are
+    counted only where the report reads them: for kept trials and for
+    trials that pass ``ci``.  Returns (verdicts, points or None, system
+    text) per trial, in order."""
     pattern, q, mode, seed = spec
     field = field_from_order(q)
     if mode == "exhaustive":
@@ -467,13 +472,14 @@ def _batch(spec, certs, count_points: bool, keep_trials: bool, trials):
                for cert in certs}
     out = []
     for i in range(len(trials)):
+        verdicts = {cert: decided[cert][i].empty for cert in certs}
+        count = count_points and (keep_trials or verdicts.get("ci", False))
         system = None
-        if count_points or keep_trials:
+        if count or keep_trials:
             system = PolySystem(pattern=pattern, field=field, forms=tuple(
                 form_from_coeffs(field, pattern.n + 1, e, f[i].tolist())
                 for f, e in zip(forms, pattern.d)))
-        out.append(({cert: decided[cert][i].empty for cert in certs},
-                    count_zf_points(system) if count_points else None,
+        out.append((verdicts, count_zf_points(system) if count else None,
                     system.serialize() if keep_trials else None))
     return out
 
@@ -653,7 +659,9 @@ def oracle_check(trials: int, seed, *, point_cap: int = DEFAULT_POINT_CAP,
         rooted = rng.random() < 0.5
         forms = []
         if rooted:
-            point = rng.choice(list(projective_points(field, n)))
+            # the draw of rng.choice on the list of projective_points
+            i = np.array([rng.randrange(projective_count(n, q))])
+            point = tuple(_points_at(q, n, i)[0].tolist())
             forms = [_rooted_form(rng, field, n + 1, e, point) for e in degrees]
         else:
             forms = [_random_form(rng, field, n + 1, e) for e in degrees]

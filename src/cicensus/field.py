@@ -7,8 +7,8 @@ packed in base p as c_0 + c_1*p + ... + c_{k-1}*p^(k-1).  The encoding
 is canonical: distinct integers are distinct elements, 0 and 1 are the
 additive and multiplicative identities in every field.
 
-Addition works digit by digit, on a prime field in one step and in
-characteristic 2 as the exclusive or of the encodings.  An
+Addition and subtraction work digit by digit, on a prime field in one
+step and in characteristic 2 as the exclusive or of the encodings.  An
 extension field multiplies through exp/log tables of its first primitive
 element in encoding order (Lidl and Niederreiter, Finite Fields, ch. 9),
 built on the first multiplication, shared by every Field with the same
@@ -296,15 +296,11 @@ class Field:
         return out
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        p = self.p
-        out = 0
-        for w in self._weights:
-            out += -(a // w) % p * w
-        return out
+        return self.sub(0, a)
 
     def sub(self, a, b):
+        if self.k == 1:
+            return (a - b) % self.p
         if self.p == 2:
             return a ^ b
         p = self.p

@@ -32,8 +32,8 @@ at the boundary): the forms fill int64 (B, R, C) stacks of at most
 _STACK_CELLS cells, one scatter per form, and each stack is eliminated
 in place in lockstep (``_echelon_stack``).  A matrix over
 DEFAULT_MAX_CELLS cells raises TooLarge before any form is built.
-Forms are validated where they come from outside: in
-``projective_empty`` and the minors handed to ``decide_many``.
+Forms are validated where they come from outside, in
+``projective_empty``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .bounds import recipe_macaulay_shape
 from .errors import (ArityMismatch, DegreeMismatch, EmptyInput, MixedFields,
                      PatternViolation, TooLarge)
 from .field import Field
-from .poly import build_test_system  # noqa: F401  (importable from here)
 from .poly import (DegreePattern, Poly, PolySystem, TestSystem, cert_recipe,
                    coeff_array, minor_arrays, monomials, recipe_degrees,
                    restrict_index, shift_index)
@@ -270,33 +269,25 @@ def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
     return TestSystem(ts.cert, ts.field, nvars, forms, ts.degrees[:-c])
 
 
-def _recipe_arrays(pattern: DegreePattern, field: Field, forms, cert: str):
-    """(arrays, degrees) of the certificate's sliced test systems of B
-    systems of the pattern, given as one (B, len(monomials(n+1, d_i)))
-    array per form f_i: f and the recipe's m minors, all restricted to
-    X_0..X_{v-1}, v = s + m."""
+def decide_coeffs(pattern: DegreePattern, field: Field, forms, cert: str):
+    """``decide_many`` for B systems of the pattern over the field given as
+    one int64 (B, len(monomials(n+1, d_i))) coefficient array per form
+    f_i; no Poly is built.  The sliced test systems are f and the recipe's
+    m minors, all restricted to X_0..X_{v-1}, v = s + m.  The caller
+    checks the matrix shape."""
     minors = cert_recipe(cert, pattern.n, pattern.s)[0]
     v = pattern.s + len(minors)
     sliced = [f[:, restrict_index(pattern.n + 1, v, e)]
               for f, e in zip(forms, pattern.d)]
-    return (sliced + minor_arrays(forms, pattern, field, minors, v),
-            recipe_degrees(pattern, cert)[:v])
+    return _verdicts(sliced + minor_arrays(forms, pattern, field, minors, v),
+                     recipe_degrees(pattern, cert)[:v], field)
 
 
-def decide_coeffs(pattern: DegreePattern, field: Field, forms, cert: str):
-    """``decide_many`` for B systems of the pattern over the field given as
-    one int64 (B, len(monomials(n+1, d_i))) coefficient array per form
-    f_i; no Poly is built.  The caller checks the matrix shape."""
-    return _verdicts(*_recipe_arrays(pattern, field, forms, cert), field)
-
-
-def decide_many(systems, cert: str, chains=None) -> list:
+def decide_many(systems, cert: str) -> list:
     """``[decide(system, cert) for system in systems]`` for systems of one
-    pattern and field: f and J_{s+1}..J_{s+m} restricted to X_0..X_{s+m-1}
-    and decided in stacks.  ``chains[i]``, if given, holds checked minors
-    J_{s+1}, J_{s+2}, ... of systems[i], used in place of the computed
-    ones; a matrix over DEFAULT_MAX_CELLS cells raises TooLarge before any
-    work."""
+    pattern and field, converted to one coefficient array per form and
+    decided in stacks (``decide_coeffs``); a matrix over DEFAULT_MAX_CELLS
+    cells raises TooLarge before any work."""
     systems = list(systems)
     if not systems:
         return []
@@ -306,16 +297,7 @@ def decide_many(systems, cert: str, chains=None) -> list:
         raise PatternViolation("decide_many needs one pattern and field")
     forms = [coeff_array([x.forms[i] for x in systems], pat.n + 1, e)
              for i, e in enumerate(pat.d)]
-    arrays, degrees = _recipe_arrays(pat, field, forms, cert)
-    if chains is not None:
-        v = len(degrees)
-        keep = restrict_index(pat.n + 1, v, pat.sigma)
-        for i, (_, chain) in enumerate(zip(systems, chains, strict=True)):
-            chain = tuple(chain[:v - pat.s])
-            _check_forms(chain, field, pat.n + 1, degrees[pat.s:])
-            for g, minor in zip(arrays[pat.s:], chain):
-                g[i] = coeff_array([minor], pat.n + 1, pat.sigma)[0, keep]
-    return _verdicts(arrays, degrees, field)
+    return decide_coeffs(pat, field, forms, cert)
 
 
 def decide(system: PolySystem, cert: str) -> EmptinessVerdict:

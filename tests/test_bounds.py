@@ -13,6 +13,7 @@ from cicensus import (HypothesisViolated, PatternViolation, bell_number,
                       multihomog_zero_bound, pattern_landscape, pattern_stats,
                       probability_lower_bound, projective_count,
                       top_coefficient)
+from cicensus.bounds import _divisors_from
 
 
 def test_pattern_stats_examples():
@@ -130,6 +131,12 @@ def test_factorization_count_vs_oracle_sweep():
     for b in range(2, 80):
         for s in (1, 2, 3, 4):
             assert factorization_count(b, s).count == _oracle_factorizations(b, s)
+
+
+def test_divisors_from_match_the_brute_force_list():
+    for b in range(-2, 5001):
+        assert _divisors_from(b) == tuple(f for f in range(2, b + 1)
+                                          if b % f == 0)
 
 
 def test_factorizations_enumeration_matches_count():

@@ -1,9 +1,11 @@
 """A census decides every trial from coefficient arrays: no Poly is built
-unless trials are kept or points counted, and kept trials show the
-systems that ``sample_system`` and ``enumerate_systems`` give."""
+unless trials are kept or points counted, points are counted only where
+the report reads them, and kept trials show the systems that
+``sample_system`` and ``enumerate_systems`` give."""
 
 import pytest
 
+import cicensus.census as census
 from cicensus import (CERTS, Poly, enumerate_systems, run_census,
                       sample_system, trial_seed)
 
@@ -47,3 +49,26 @@ def test_kept_exhaustive_trials_follow_the_enumeration(n, s, d, q):
                         keep_trials=True)
     assert [r.system_text for r in report.trial_records] == [
         x.serialize() for x in enumerate_systems(n, s, d, q)]
+
+
+@pytest.mark.parametrize("q,certs,keep", [
+    (3, ("stci",), False), (3, CERTS, False), (3, CERTS, True),
+    (16, ("ci", "irr"), False)], ids=("stci", "all", "kept", "ci-irr"))
+def test_points_are_counted_only_where_the_report_reads_them(
+        monkeypatch, q, certs, keep):
+    calls = []
+    count = census.count_zf_points
+
+    def spy(system, *args):
+        calls.append(system)
+        return count(system, *args)
+
+    monkeypatch.setattr(census, "count_zf_points", spy)
+    report = run_census(2, 1, (2,), q, "monte_carlo", trials=40, seed=3,
+                        certs=certs, count_points=True, keep_trials=keep)
+    if keep:
+        assert len(calls) == 40
+    elif "ci" in certs:
+        assert len(calls) == report.per_cert["ci"].count < 40
+    else:
+        assert calls == []

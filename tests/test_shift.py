@@ -1,14 +1,16 @@
 """The shift table behind every multiplication matrix, checked against
-tuple addition, a per-term Macaulay reference and the smooth conic count."""
+tuple addition, a per-term Macaulay reference and the smooth conic count,
+and the stacked factor search against a per-candidate one."""
 
 import numpy as np
 import pytest
 
+import cicensus.census as census
 from cicensus import (DegreeMismatch, Field, TestSystem, brute_force_absirr,
                       build_test_system, cert_recipe, coordinate_slice,
                       enumerate_systems, macaulay_degree, macaulay_instance,
-                      monomials, projective_empty, rank_over_field,
-                      sample_system, shift_index)
+                      monomials, projective_empty, projective_points,
+                      rank_over_field, sample_system, shift_index)
 
 
 @pytest.mark.parametrize("nvars,degree,e", [
@@ -75,3 +77,40 @@ def test_absirr_passes_exactly_the_smooth_conics(q):
     passed = sum(brute_force_absirr(system.forms[0])
                  for system in enumerate_systems(2, 1, (2,), q))
     assert passed == q ** 5 - q ** 2
+
+
+def _absirr_reference(f):
+    """brute_force_absirr one candidate factor g at a time, in the order
+    of projective_points, one rank_over_field call each."""
+    deg, nv = f.degree, f.nvars
+    f_vec = [f.terms.get(x, 0) for x in monomials(nv, deg)]
+    for m in range(1, deg + 1):
+        ext, emb = f.field.extension(m)
+        for a in range(1, deg // 2 + 1):
+            shift = shift_index(nv, deg, a)
+            nb = len(shift)
+            rows = np.zeros((nb + 1, len(f_vec)), dtype=np.int64)
+            rows[nb] = [emb[c] for c in f_vec]
+            for g in projective_points(ext, shift.shape[1] - 1):
+                rows[np.arange(nb)[:, None], shift] = g
+                if rank_over_field(rows, ext) == nb:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("d,q,count", [
+    (2, 2, None),  # every conic over F_2
+    (2, 3, 60), (2, 4, 30), (3, 3, 12)])
+def test_stacked_factor_search_equals_the_scalar_one(monkeypatch, d, q,
+                                                      count):
+    # blocks of 5 candidates: P^2(F_4) alone spans 5 blocks, so a search
+    # that drops a block misses factors
+    monkeypatch.setattr(census, "_BLOCK", 5)
+    if count is None:
+        forms = [x.forms[0] for x in enumerate_systems(2, 1, (d,), q)]
+    else:
+        forms = [sample_system(2, 1, (d,), q, f"factor:{i}").forms[0]
+                 for i in range(count)]
+    got = [brute_force_absirr(f) for f in forms]
+    assert got == [_absirr_reference(f) for f in forms]
+    assert len(set(got)) == 2  # both verdicts occur

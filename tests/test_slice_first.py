@@ -1,15 +1,14 @@
 """Certificates decided on their slice from the start: no coordinate form
-and no full test system on the decision path, caller-supplied minors
-checked where they enter, census batches of a fixed size whose stacks
-stay within the cell budget, and the point-count cap."""
+and no full test system on the decision path, census batches of a fixed
+size whose stacks stay within the cell budget, and the point-count cap,
+raised before any coefficient array is drawn."""
 
 import pytest
 
 import cicensus.census as census
 import cicensus.macaulay as macaulay
-from cicensus import (CERTS, ArityMismatch, DegreeMismatch, MixedFields,
-                      Poly, TooLarge, decide, decide_many, jacobian_minor,
-                      projective_count, run_census, sample_system)
+from cicensus import (CERTS, Poly, TooLarge, decide, projective_count,
+                      run_census, sample_system)
 from cicensus.census import CENSUS_COUNT_CAP
 from cicensus.macaulay import _STACK_CELLS
 
@@ -40,35 +39,6 @@ def test_no_coordinate_form_is_built(monkeypatch):
     assert _decisions() == want
 
 
-def _chain(n, s, d, q, seed="chain"):
-    system = sample_system(n, s, d, q, seed)
-    return tuple(jacobian_minor(system, k) for k in range(s + 1, n + 2))
-
-
-@pytest.mark.parametrize("other,error", [
-    ((3, 2, (2, 1), 103), MixedFields),     # another field
-    ((4, 2, (2, 1), 101), ArityMismatch),   # five variables, not four
-    ((3, 2, (2, 2), 101), DegreeMismatch),  # sigma 2, not 1
-])
-def test_decide_many_checks_given_minors(other, error):
-    systems = [sample_system(3, 2, (2, 1), 101, i) for i in range(2)]
-    good = [_chain(3, 2, (2, 1), 101, i) for i in range(2)]
-    assert (decide_many(systems, "irr", good)
-            == decide_many(systems, "irr"))
-    bad = _chain(*other)
-    assert not bad[0].is_zero()
-    with pytest.raises(error):
-        decide_many(systems, "ci", [good[0], bad])
-
-
-def test_decide_many_rejects_a_short_chain_list():
-    systems = [sample_system(3, 2, (2, 1), 101, i) for i in range(3)]
-    chains = [_chain(3, 2, (2, 1), 101, i) for i in range(2)]
-    for short in (chains, []):
-        with pytest.raises(ValueError):
-            decide_many(systems, "ci", short)
-
-
 def test_census_stacks_stay_within_the_cell_budget(monkeypatch):
     seen = []
     eliminate = macaulay._eliminate
@@ -93,8 +63,11 @@ def test_point_counting_is_capped_before_sampling(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(census, "sample_system", started)
-    monkeypatch.setattr(census, "enumerate_systems", started)
+    for module, name in ((macaulay, "coeff_array"),
+                         (macaulay, "minor_arrays"), (macaulay, "_stack"),
+                         (census, "_sampled_vectors"),
+                         (census, "_enumerated_vectors")):
+        monkeypatch.setattr(module, name, started)
     for mode, kw in (("monte_carlo", {"trials": 3}), ("exhaustive", {})):
         with pytest.raises(TooLarge):
             run_census(3, 2, (2, 1), 1009, mode, count_points=True, **kw)

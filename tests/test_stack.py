@@ -12,7 +12,7 @@ import cicensus.macaulay as macaulay
 from cicensus import (CERTS, DivisionByZero, PatternViolation, TooLarge,
                       build_test_system, cert_recipe, coordinate_slice,
                       decide, decide_many, enumerate_systems,
-                      field_from_order, jacobian_minor, macaulay_instance,
+                      field_from_order, macaulay_instance,
                       rank_over_field, recipe_macaulay_shape, run_census,
                       sample_system)
 from cicensus.macaulay import _STACK_CELLS, DEFAULT_MAX_CELLS
@@ -106,13 +106,10 @@ def test_decide_many_equals_decide(n, s, d, q, count):
     else:
         systems = [sample_system(n, s, d, q, f"many:{i}")
                    for i in range(count)]
-    chains = [tuple(jacobian_minor(x, k) for k in range(s + 1, n + 2))
-              for x in systems]
     short = 0
     for cert in CERTS:
         many = decide_many(systems, cert)
         assert many == [decide(x, cert) for x in systems]
-        assert decide_many(systems, cert, chains) == many
         for x, v in zip(systems, many):
             assert (v.empty, v.rank, v.nrows, v.ncols) == _reference(x, cert)
         short += sum(v.nrows == 0 for v in many)
@@ -206,9 +203,11 @@ def test_too_large_is_raised_before_any_work(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(macaulay, "build_test_system", started)
-    monkeypatch.setattr(census, "sample_system", started)
-    monkeypatch.setattr(census, "enumerate_systems", started)
+    for module, name in ((macaulay, "coeff_array"),
+                         (macaulay, "minor_arrays"), (macaulay, "_stack"),
+                         (census, "_sampled_vectors"),
+                         (census, "_enumerated_vectors")):
+        monkeypatch.setattr(module, name, started)
     with pytest.raises(TooLarge):
         decide(system, "nons")
     with pytest.raises(TooLarge):

@@ -9,7 +9,8 @@ report byte-identical prints the same hashes.
 The cases are census JSON (``include_volatile=False, keep_trials=True``,
 with point counts where P^n(F_q) is small enough to scan), the records
 of ``oracle_check(60, 7)``, the ``brute_force_absirr`` verdicts for
-every conic over F_2 and F_3 in enumeration order, the polynomials
+every conic over F_2 and F_3 in enumeration order and for the plane
+cubics ``sample_system(2, 1, (3,), 3, i)``, i < 40, the polynomials
 themselves (``terms``: every Jacobian minor J_k of seeded systems and
 the ``chow_class`` coefficients), and ``cicensus test`` on each
 committed system of ``cibench/systems``, one certificate at a time.
@@ -84,6 +85,11 @@ def _absirr_conics():
                    for system in enumerate_systems(2, 1, (2,), q))
 
 
+def _absirr_cubics():
+    return "".join(str(int(brute_force_absirr(
+        sample_system(2, 1, (3,), 3, i).forms[0]))) for i in range(40))
+
+
 # (n, s, d, q) of the systems whose minors the terms case hashes; the
 # F_27 case has n - s = 2, so its last minor takes the Vandermonde columns,
 # and the s = 1 and s = 3 cases give 1x1 and 3x3 determinants
@@ -121,6 +127,7 @@ def cases():
         yield label, lambda args=args: _census(*args)
     yield "oracle-60-7", _oracle
     yield "absirr-conics-q2-q3", _absirr_conics
+    yield "absirr-cubics-q3", _absirr_cubics
     yield "terms", _terms
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
