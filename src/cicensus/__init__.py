@@ -15,13 +15,14 @@ from .bounds import (BoundsReport, DegreeBounds, FactorizationCount, GOfB,
                      linear_independent_count, multihomog_zero_bound,
                      pattern_landscape, pattern_stats,
                      probability_lower_bound, projective_count,
-                     recipe_macaulay_degree, recipe_macaulay_shape)
+                     recipe_macaulay_degree, recipe_macaulay_shape,
+                     system_space_size)
 from .census import (BruteForceVerdict, CensusReport, CertSummary,
                      OracleReport, TrialRecord, brute_force_absirr,
                      brute_force_empty, count_zf_points, enumerate_systems,
                      feasible_max_ext, oracle_check, projective_points,
-                     run_census, sample_system, system_space_size,
-                     trial_seed, wilson_interval)
+                     run_census, sample_system, trial_seed,
+                     wilson_interval)
 from .chow import ChowClass, chow_class, extract_bound, top_coefficient
 from .errors import (ArityMismatch, CicensusError, DegreeMismatch,
                      DivisionByZero, EmptyInput, FormatError,

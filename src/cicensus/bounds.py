@@ -50,6 +50,12 @@ def projective_count(n: int, q: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
+def system_space_size(n: int, s: int, d, q: int) -> int:
+    """p_D = prod p_{D_i}, the number of projective coefficient tuples."""
+    return math.prod(projective_count(di, q)
+                     for di in pattern_stats(n, s, d).big_d)
+
+
 # ---------------------------------------------------------------------------
 # Obstruction degree bounds
 
@@ -388,15 +394,23 @@ def recipe_macaulay_degree(n: int, s: int, d, cert: str) -> int:
     return sigma + m * (sigma - 1) + 1
 
 
-def recipe_macaulay_shape(n: int, s: int, d, cert: str) -> tuple:
-    """(rows, columns) of the certificate's Macaulay matrix on its slice,
-    closed form: v = s + m forms in v variables at the degree N above,
-    C(N+v-1, v-1) columns and C(N-e+v-1, v-1) rows per derived degree e."""
-    v = s + len(cert_recipe(cert, n, s)[0])
-    degrees = recipe_degrees(DegreePattern(n=n, s=s, d=tuple(d)), cert)[:v]
-    big_n = recipe_macaulay_degree(n, s, d, cert)
+def macaulay_shape(degrees) -> tuple:
+    """(rows, columns) of the Macaulay matrix of v = len(degrees) forms of
+    these degrees in v variables, closed form: at N = sum(e - 1) + 1,
+    C(N+v-1, v-1) columns and C(N-e+v-1, v-1) rows per degree e."""
+    v = len(degrees)
+    big_n = sum(e - 1 for e in degrees) + 1
     return (sum(comb(big_n - e + v - 1, v - 1) for e in degrees),
             comb(big_n + v - 1, v - 1))
+
+
+def recipe_macaulay_shape(n: int, s: int, d, cert: str) -> tuple:
+    """macaulay_shape of the certificate's matrix on its slice: f and the
+    recipe's m minors, v = s + m forms in v variables, at the degree N
+    above."""
+    v = s + len(cert_recipe(cert, n, s)[0])
+    return macaulay_shape(
+        recipe_degrees(DegreePattern(n=n, s=s, d=tuple(d)), cert)[:v])
 
 
 @dataclass(frozen=True)
@@ -415,8 +429,7 @@ def bounds_report(n: int, s: int, d, q: int | None = None) -> BoundsReport:
     p_n = p_big_d = probability = None
     if q is not None:
         p_n = projective_count(n, q)
-        p_big_d = math.prod(projective_count(di_count, q)
-                            for di_count in stats.big_d)
+        p_big_d = system_space_size(n, s, d, q)
         probability = {cert: probability_lower_bound(n, s, d, q, cert)
                        for cert in CERTS}
     return BoundsReport(stats=stats, q=q, p_n=p_n, p_big_d=p_big_d,

@@ -37,13 +37,13 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from multiprocessing import Pool
 
 import numpy as np
 
 from .bounds import (probability_lower_bound, projective_count,
-                     recipe_macaulay_shape)
+                     recipe_macaulay_shape, system_space_size)
 from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
 from .macaulay import (check_shape, decide_coeffs, projective_empty,
@@ -102,13 +102,6 @@ def sample_system(n: int, s: int, d, q: int, seed) -> PolySystem:
     return PolySystem(pattern=pattern, field=field, forms=tuple(
         form_from_coeffs(field, n + 1, e, vec)
         for e, vec in zip(pattern.d, _sampled_vectors(pattern, q, seed))))
-
-
-def system_space_size(n: int, s: int, d, q: int) -> int:
-    """p_D = prod p_{D_i}, the number of projective coefficient tuples."""
-    pattern = DegreePattern(n=n, s=s, d=tuple(d))
-    return math.prod(projective_count(len(monomials(n + 1, di)) - 1, q)
-                     for di in pattern.d)
 
 
 def _exhaustive_size(pattern: DegreePattern, q: int, cap) -> int:
@@ -256,11 +249,9 @@ def brute_force_empty(ts: TestSystem, max_ext: int | None = None,
         max_ext = max(math.prod(ts.degrees), 4)
     if max_ext < 1:
         raise SearchSpaceTooLarge("max_ext must be at least 1")
-    total = sum(projective_count(n, field.q ** m)
-                for m in range(1, max_ext + 1))
-    if total > point_cap:
+    if feasible_max_ext(field, n, point_cap, max_ext) < max_ext:
         raise SearchSpaceTooLarge(
-            f"{total} points over extensions up to {max_ext} exceed cap {point_cap}")
+            f"points over extensions up to {max_ext} exceed cap {point_cap}")
     for m in range(1, max_ext + 1):
         ext, emb = field.extension(m)
         for pts in _point_blocks(ext, n):
@@ -589,20 +580,12 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
 # Oracle cross-check: emptiness gate vs point search
 
 
+@lru_cache(maxsize=None)
 def _degree_tuples(nforms: int, max_product: int):
     """All ordered degree tuples with product at most max_product."""
-    out = []
-
-    def rec(prefix, prod):
-        if len(prefix) == nforms:
-            out.append(tuple(prefix))
-            return
-        e = 1
-        while prod * e <= max_product:
-            rec(prefix + [e], prod * e)
-            e += 1
-    rec([], 1)
-    return tuple(out)
+    return tuple(t for t in itertools.product(range(1, max_product + 1),
+                                              repeat=nforms)
+                 if math.prod(t) <= max_product)
 
 
 def _rooted_form(rng, field, nvars, degree, point):

@@ -325,19 +325,16 @@ class Field:
     def inv(self, a):
         """Inverse of a nonzero encoding, or of every entry of an int64
         array of them."""
-        if type(a) is not int:
-            if not a.all():
-                raise DivisionByZero("zero has no inverse")
-            if self.k > 1:
-                exp, log = (self._tables or self._load_tables())[0]
-                return exp[self.q - 1 - log[a]]
-            return np.array([pow(x, -1, self.p) for x in a.ravel().tolist()],
-                            dtype=np.int64).reshape(a.shape)
-        if a == 0:
+        scalar = type(a) is int
+        if not (a if scalar else a.all()):
             raise DivisionByZero("zero has no inverse")
         if self.k == 1:
-            return pow(a, -1, self.p)
-        exp, log = (self._tables or self._load_tables())[1]
+            if scalar:
+                return pow(a, -1, self.p)
+            return np.array([pow(x, -1, self.p) for x in a.ravel().tolist()],
+                            dtype=np.int64).reshape(a.shape)
+        arrays, views = self._tables or self._load_tables()
+        exp, log = views if scalar else arrays
         return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
@@ -374,24 +371,19 @@ class Field:
         if self.k == 1:
             emb = list(range(self.p))
         else:
-            root = None
-            mod = self.modulus
-            for r in ext.elements():
-                acc = 0
-                for c in reversed(mod):
-                    acc = ext.add(ext.mul(acc, r), c % self.p)
-                if acc == 0:
-                    root = r
-                    break
-            assert root is not None, "base modulus must split in the extension"
-            emb = []
-            for a in self.elements():
-                img = 0
-                rp = 1
-                for c in self.coeffs(a):
-                    img = ext.add(img, ext.mul(c, rp))
-                    rp = ext.mul(rp, root)
-                emb.append(img)
+            # the first root of the base modulus in encoding order, by
+            # Horner's rule on every element of ext at once
+            x = np.arange(ext.q, dtype=np.int64)
+            acc = np.zeros_like(x)
+            for c in reversed(self.modulus):
+                acc = ext.add(ext.mul(acc, x), c)
+            root = int(np.flatnonzero(acc == 0)[0])
+            # sum c_i t^i maps to sum c_i root^i, for every element at once
+            a = np.arange(self.q, dtype=np.int64)
+            img = np.zeros_like(a)
+            for i, w in enumerate(self._weights):
+                img = ext.add(img, ext.mul(a // w % self.p, ext.pow(root, i)))
+            emb = img.tolist()
         _EXTENSIONS[key] = (ext, emb)
         return ext, emb
 

@@ -30,8 +30,9 @@ decided for many systems at once, from one int64 (B, M) coefficient
 array per form (``decide_coeffs``; ``decide_many`` converts its systems
 at the boundary): the forms fill int64 (B, R, C) stacks of at most
 _STACK_CELLS cells, one scatter per form, and each stack is eliminated
-in place in lockstep (``_echelon_stack``).  A matrix over
-DEFAULT_MAX_CELLS cells raises TooLarge before any form is built.
+in place in lockstep (``_echelon_stack``).  The gate sizes every matrix
+in closed form first (``bounds.macaulay_shape``): one over
+DEFAULT_MAX_CELLS cells raises TooLarge before anything is built.
 Forms are validated where they come from outside, in
 ``projective_empty``.
 """
@@ -42,12 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import recipe_macaulay_shape
+from .bounds import macaulay_shape, recipe_macaulay_shape
 from .errors import (ArityMismatch, DegreeMismatch, EmptyInput, MixedFields,
                      PatternViolation, TooLarge)
 from .field import Field
 from .poly import (DegreePattern, Poly, PolySystem, TestSystem, cert_recipe,
-                   coeff_array, minor_arrays, monomials, recipe_degrees,
+                   coeff_array, minor_arrays, recipe_degrees,
                    restrict_index, shift_index)
 
 _STACK_CELLS = 1 << 15  # cells of one stack of matrices: 256 KiB of int64
@@ -187,17 +188,19 @@ def macaulay_instance(ts: TestSystem):
     """The degree-N multiplication matrix of a test system, as int64, laid
     out as one matrix of ``_stack``."""
     n_deg = macaulay_degree(ts.degrees)
+    ncols = check_shape(macaulay_shape(ts.degrees))[1]
     shifts = [shift_index(ts.nvars, n_deg, e) for e in ts.degrees]
-    return _stack(_coeffs(ts), shifts, len(monomials(ts.nvars, n_deg)))[0]
+    return _stack(_coeffs(ts), shifts, ncols)[0]
 
 
-def check_shape(shape) -> None:
-    """TooLarge if a Macaulay matrix of this (rows, columns) shape exceeds
-    DEFAULT_MAX_CELLS cells."""
+def check_shape(shape) -> tuple:
+    """The (rows, columns) shape of a Macaulay matrix, or TooLarge if it
+    exceeds DEFAULT_MAX_CELLS cells."""
     nrows, ncols = shape
     if nrows * ncols > DEFAULT_MAX_CELLS:
         raise TooLarge(f"a {nrows}x{ncols} Macaulay matrix exceeds "
                        f"{DEFAULT_MAX_CELLS} cells")
+    return shape
 
 
 def _check_forms(forms, field: Field, nvars: int, degrees) -> None:
@@ -217,14 +220,12 @@ def _verdicts(forms, degrees, field: Field) -> list:
     variables, given as one (B, M_j) coefficient array per form: one with
     a zero form short-circuits, the others go in stacks of at most
     _STACK_CELLS cells, or one matrix each."""
-    nvars = len(degrees)
     n_deg = macaulay_degree(degrees)
-    ncols = len(monomials(nvars, n_deg))
+    nrows, ncols = check_shape(macaulay_shape(degrees))
     out = [EmptinessVerdict(empty=False, rank=0, degree=n_deg, nrows=0,
                             ncols=ncols)] * len(forms[0])
     live = np.logical_and.reduce([g.any(axis=1) for g in forms]).nonzero()[0]
-    shifts = [shift_index(nvars, n_deg, e) for e in degrees]
-    nrows = sum(len(sh) for sh in shifts)
+    shifts = [shift_index(len(degrees), n_deg, e) for e in degrees]
     size = max(1, _STACK_CELLS // (nrows * ncols))
     for lo in range(0, len(live), size):
         batch = live[lo:lo + size]

@@ -45,14 +45,13 @@ def grevlex_key(exp):
 @functools.lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int):
     """All exponent vectors of the given total degree, canonical order."""
-    if nvars == 1:
-        return ((degree,),)
     out = []
-    for head in range(degree, -1, -1):
-        for tail in monomials(nvars - 1, degree - head):
-            out.append((head,) + tail)
-    out.sort(key=grevlex_key)
-    return tuple(out)
+    for combo in itertools.combinations_with_replacement(range(nvars), degree):
+        exp = [0] * nvars
+        for j in combo:
+            exp[j] += 1
+        out.append(tuple(exp))
+    return tuple(sorted(out, key=grevlex_key))
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,11 +12,11 @@ of ``oracle_check(60, 7)``, the ``brute_force_absirr`` verdicts for
 every conic over F_2 and F_3 in enumeration order and for the plane
 cubics ``sample_system(2, 1, (3,), 3, i)``, i < 40, the polynomials
 themselves (``terms``: every Jacobian minor J_k of seeded systems and
-the ``chow_class`` coefficients), and ``cicensus test`` on each
-committed system of ``cibench/systems``, one certificate at a time.
-The package
-is imported from the ``src`` beside this script, so the hashes belong
-to that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a
+the ``chow_class`` coefficients), the field and embedding table of
+``Field(p, k).extension(m)`` for nine towers over non-prime bases, and
+``cicensus test`` on each committed system of ``cibench/systems``, one
+certificate at a time.  The package is imported from the ``src`` beside
+this script, so the hashes belong to that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a
 6237x3003 matrix and takes about 90 of the run's 100 s on two cores.
 """
 
@@ -32,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from cicensus import (CERTS, brute_force_absirr,  # noqa: E402
+from cicensus import (CERTS, Field, brute_force_absirr,  # noqa: E402
                       chow_class, enumerate_systems, jacobian_minor,
                       oracle_check, parse_system_file, run_census,
                       sample_system)
@@ -112,6 +112,18 @@ def _terms():
     return "\n".join(lines)
 
 
+# (p, k, m) of the towers F_{p^k} -> F_{p^(km)} the extension case hashes:
+# every one has a base that is not a prime field, so its embedding is not
+# the identity, in characteristics 2, 3, 5 and 7
+TOWERS = ((2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 2, 3),
+          (5, 2, 2), (3, 3, 2), (7, 2, 2))
+
+
+def _extension_embeddings():
+    return "\n".join(repr((ext.q, ext.modulus, emb)) for ext, emb in
+                     (Field(p, k).extension(m) for p, k, m in TOWERS))
+
+
 def _cli_test(path: Path, cert: str):
     field = parse_system_file(path.read_text()).field.spec_str()
     out = io.StringIO()
@@ -129,6 +141,7 @@ def cases():
     yield "absirr-conics-q2-q3", _absirr_conics
     yield "absirr-cubics-q3", _absirr_cubics
     yield "terms", _terms
+    yield "extension-embeddings", _extension_embeddings
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
             yield (f"test-{path.stem}-{cert}",
