@@ -79,21 +79,22 @@ class EmptinessVerdict:
 
 
 def _echelon(a, field: Field) -> int:
-    """Rank of the int64 matrix a, eliminated in place row by row."""
+    """Rank of the int64 matrix a, eliminated in place row by row; one
+    read of column c per pivot gives the pivot row and the rows to update."""
     if not a.size:
         return 0
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
-        nz = a[r:, c].nonzero()[0]
+        nz = r + a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
+        piv = int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         # columns left of c are zero in rows r and below
         a[r, c:] = field.mul(a[r, c:], field.inv(int(a[r, c])))
-        hit = r + 1 + a[r + 1:, c].nonzero()[0]
+        hit = nz[1:]  # the swap put row r's zero where the pivot was
         if hit.size:
             a[hit, c:] = field.submul(a[hit, c:], a[hit, c, None], a[r, c:])
         r += 1
@@ -107,7 +108,8 @@ def _echelon_stack(a, field: Field):
     in lockstep: a group of matrices shares its column c and pivot row r,
     each swaps its own first nonzero row into r, and a column with a pivot
     in only some of them splits the group; the others go on the worklist
-    at column c + 1.  A group of one finishes in the row loop, which
+    at column c + 1.  One read of column c per pivot gives the pivots and
+    the rows to update.  A group of one finishes in the row loop, which
     indexes one matrix faster than the stack."""
     nb, nrows, ncols = a.shape
     ranks = np.zeros(nb, dtype=np.int64)
@@ -136,7 +138,8 @@ def _echelon_stack(a, field: Field):
             a[sel, r, c:] = field.mul(a[sel, r, c:],
                                       field.inv(a[sel, r, c])[:, None])
             # the rows below r with an entry in column c in any matrix
-            hit = r + 1 + a[sel, r + 1:, c].any(axis=0).nonzero()[0]
+            nz[np.arange(len(idx)), piv] = False  # each pivot is in row r now
+            hit = r + nz.any(axis=0).nonzero()[0]
             if hit.size:
                 mats = idx[:, None] if sel is idx else sel
                 rows = (mats, hit, slice(c, None))

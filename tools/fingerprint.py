@@ -8,16 +8,19 @@ report byte-identical prints the same hashes.
 
 The cases are census JSON (``include_volatile=False, keep_trials=True``,
 with point counts where P^n(F_q) is small enough to scan), the records
-of ``oracle_check(60, 7)``, the ``brute_force_absirr`` verdicts for
-every conic over F_2 and F_3 in enumeration order and for the plane
-cubics ``sample_system(2, 1, (3,), 3, i)``, i < 40, the polynomials
-themselves (``terms``: every Jacobian minor J_k of seeded systems and
-the ``chow_class`` coefficients), the field and embedding table of
-``Field(p, k).extension(m)`` for nine towers over non-prime bases, and
-``cicensus test`` on each committed system of ``cibench/systems``, one
-certificate at a time.  The package is imported from the ``src`` beside
-this script, so the hashes belong to that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a
-6237x3003 matrix and takes about 90 of the run's 100 s on two cores.
+of ``oracle_check(60, 7)`` and of ``oracle_check(25, s)`` for s < 40,
+the ``binomial_below`` verdicts for every count of 0 to 60 trials
+against each of ``BINOMIAL_FLOORS``, the ``brute_force_absirr``
+verdicts for every conic over F_2 and F_3 in enumeration order and for
+the plane cubics ``sample_system(2, 1, (3,), 3, i)``, i < 40, the
+polynomials themselves (``terms``: every Jacobian minor J_k of seeded
+systems and the ``chow_class`` coefficients), the field and embedding
+table of ``Field(p, k).extension(m)`` for nine towers over non-prime
+bases, and ``cicensus test`` on each committed system of
+``cibench/systems``, one certificate at a time.  The package is
+imported from the ``src`` beside this script, so the hashes belong to
+that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a 6237x3003
+matrix and takes about 90 of the run's 100 s on two cores.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +40,7 @@ from cicensus import (CERTS, Field, brute_force_absirr,  # noqa: E402
                       chow_class, enumerate_systems, jacobian_minor,
                       oracle_check, parse_system_file, run_census,
                       sample_system)
+from cicensus.census import binomial_below  # noqa: E402
 from cicensus.cli import main as cli_main  # noqa: E402
 
 # (label, n, s, d, q, mode, trials, seed, certs, count_points[, jobs]); a
@@ -77,6 +82,27 @@ def _census(n, s, d, q, mode, trials, seed, certs, count_points, jobs=1):
 def _oracle():
     report = oracle_check(60, 7, keep_records=True)
     return json.dumps(report.to_json_dict(), sort_keys=True)
+
+
+def _oracle_seeds():
+    return "\n".join(
+        json.dumps(oracle_check(25, s, keep_records=True).to_json_dict(),
+                   sort_keys=True) for s in range(40))
+
+
+# floors x/y, 0 <= x < y, and two census floors; a floor of 1 is left out
+# so that the case runs on checkouts whose binomial_below divides by b - a
+BINOMIAL_FLOORS = tuple(Fraction(x, y) for y in (2, 3, 7, 10, 101)
+                        for x in range(y)) + (Fraction(81, 100),
+                                              Fraction(1005, 1009))
+
+
+def _binomial_grid():
+    return "\n".join(
+        f"{floor} " + "".join(str(int(binomial_below(k, total, floor)))
+                              for total in range(61)
+                              for k in range(total + 1))
+        for floor in BINOMIAL_FLOORS)
 
 
 def _absirr_conics():
@@ -138,6 +164,8 @@ def cases():
     for label, *args in CENSUS_CASES:
         yield label, lambda args=args: _census(*args)
     yield "oracle-60-7", _oracle
+    yield "oracle-40x25", _oracle_seeds
+    yield "binomial-grid", _binomial_grid
     yield "absirr-conics-q2-q3", _absirr_conics
     yield "absirr-cubics-q3", _absirr_cubics
     yield "terms", _terms
