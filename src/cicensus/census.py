@@ -22,9 +22,10 @@ is shown beside it; a floor whose q-guard fails reads "vacuous".
 
 Point counting and the brute-force emptiness search scan P^n(F_{q^m}) in
 int64 blocks of points, in the order of projective_points, evaluating
-every form on a whole block through the field's array mul and add.  The
-factor search takes its candidate factors in the same blocks and ranks
-a whole block as one stack.
+each form on a whole block with ``Poly.values`` (``Poly.eval_at`` is its
+one-point case); a search of depth 0 scans nothing.  The factor search
+takes its candidate factors in the same blocks and ranks a whole block
+as one stack of ``macaulay._stack`` matrices.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from .bounds import (probability_lower_bound, projective_count,
                      recipe_macaulay_shape, system_space_size)
 from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
-from .macaulay import (check_shape, decide_coeffs, projective_empty,
+from .macaulay import (_stack, check_shape, decide_coeffs, projective_empty,
                        rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
-                   form_from_coeffs, monomials, shift_index)
+                   coeff_array, form_from_coeffs, monomials, shift_index)
 
 DEFAULT_EXHAUSTIVE_CAP = 10_000_000
 DEFAULT_POINT_CAP = 200_000
@@ -63,6 +64,7 @@ ORACLE_MAX_BEZOUT = 8
 _BLOCK = 4096  # points or candidate factors per array, bounding its memory
 _BATCH = 64  # census trials decided together; macaulay cuts the stacks
 VIOLATION_ALPHA = Fraction(135, 100000)  # one-sided 3 sigma
+WILSON_Z = 3.0  # the displayed interval is 3 sigma wide on each side
 
 
 def trial_seed(master, index: int) -> str:
@@ -96,13 +98,18 @@ def _sampled_vectors(pattern: DegreePattern, q: int, seed) -> list:
             for e in pattern.d]
 
 
+def _system(pattern: DegreePattern, field: Field, vectors) -> PolySystem:
+    """The system whose forms have the coefficient vectors (int lists)."""
+    return PolySystem(pattern=pattern, field=field, forms=tuple(
+        form_from_coeffs(field, pattern.n + 1, e, vec)
+        for e, vec in zip(pattern.d, vectors)))
+
+
 def sample_system(n: int, s: int, d, q: int, seed) -> PolySystem:
     """Uniform system: each form a uniform nonzero coefficient vector."""
     pattern = DegreePattern(n=n, s=s, d=tuple(d))
-    field = field_from_order(q)
-    return PolySystem(pattern=pattern, field=field, forms=tuple(
-        form_from_coeffs(field, n + 1, e, vec)
-        for e, vec in zip(pattern.d, _sampled_vectors(pattern, q, seed))))
+    return _system(pattern, field_from_order(q),
+                   _sampled_vectors(pattern, q, seed))
 
 
 def _exhaustive_size(pattern: DegreePattern, q: int, cap) -> int:
@@ -140,9 +147,7 @@ def enumerate_systems(n: int, s: int, d, q: int,
         vectors = _enumerated_vectors(pattern, q,
                                       range(lo, min(lo + _BLOCK, total)))
         for vecs in zip(*(v.tolist() for v in vectors)):
-            yield PolySystem(pattern=pattern, field=field, forms=tuple(
-                form_from_coeffs(field, n + 1, e, vec)
-                for e, vec in zip(pattern.d, vecs)))
+            yield _system(pattern, field, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +192,9 @@ def _point_blocks(field: Field, n: int):
 
 def _common_zeros(forms, field: Field, emb, pts):
     """The rows of the point block pts at which every form vanishes, in
-    order; coefficients are embedded into field through emb."""
+    order, cheapest form first; coefficients enter field through emb."""
     for f in sorted(forms, key=lambda f: (f.degree, len(f.terms))):
-        if not f.terms:
-            continue  # an identically zero form vanishes everywhere
-        x = pts.T
-        acc = np.zeros(len(pts), dtype=np.int64)
-        for e, c in f.terms.items():
-            t = None if emb[c] == 1 else emb[c]  # None: the coefficient 1
-            for j, ej in enumerate(e):
-                for _ in range(ej):
-                    t = x[j] if t is None else field.mul(t, x[j])
-            acc = field.add(acc, 1 if t is None else t)
-        pts = pts[acc == 0]
+        pts = pts[f.values(pts, field, emb) == 0]
         if not len(pts):
             break
     return pts
@@ -246,13 +241,15 @@ def brute_force_empty(ts: TestSystem, max_ext: int | None = None,
 
     Bounded-empty verdicts are pragmatic: a zero set may exist whose
     points all live in deeper extensions than the search reaches.
+    max_ext = 0 searches nothing (searched_up_to 0); a negative max_ext,
+    or one whose points exceed point_cap, raises SearchSpaceTooLarge.
     """
     n = ts.nvars - 1
     field = ts.field
     if max_ext is None:
         max_ext = max(math.prod(ts.degrees), 4)
-    if max_ext < 1:
-        raise SearchSpaceTooLarge("max_ext must be at least 1")
+    if max_ext < 0:
+        raise SearchSpaceTooLarge("max_ext must be at least 0")
     if feasible_max_ext(field, n, point_cap, max_ext) < max_ext:
         raise SearchSpaceTooLarge(
             f"points over extensions up to {max_ext} exceed cap {point_cap}")
@@ -294,9 +291,10 @@ def brute_force_absirr(f: Poly) -> bool:
     if candidates > DEFAULT_FACTOR_CAP:
         raise SearchSpaceTooLarge(f"{candidates} candidate factors exceed "
                                   f"cap {DEFAULT_FACTOR_CAP}")
-    f_vec = [f.terms.get(x, 0) for x in monomials(nv, deg)]
+    f_vec = coeff_array([f], nv, deg)
     for m in range(1, deg + 1):
         ext, emb = field.extension(m)
+        f_rows = np.asarray(emb, dtype=np.int64)[f_vec]
         for a in range(1, deg // 2 + 1):
             # per candidate g, rows m_b * g over the degree-deg monomials,
             # then f; the first nb are independent because g != 0, so g
@@ -304,9 +302,8 @@ def brute_force_absirr(f: Poly) -> bool:
             shift = shift_index(nv, deg, a)
             nb = len(shift)
             for g in _point_blocks(ext, shift.shape[1] - 1):
-                rows = np.zeros((len(g), nb + 1, len(f_vec)), dtype=np.int64)
-                rows[:, np.arange(nb)[:, None], shift] = g[:, None]
-                rows[:, nb] = [emb[c] for c in f_vec]
+                rows = _stack([g, f_rows], [shift, shift_index(nv, deg, deg)],
+                              f_vec.shape[1])
                 if (rank_over_field(rows, ext) == nb).any():
                     return False
     return True
@@ -316,15 +313,15 @@ def brute_force_absirr(f: Poly) -> bool:
 # Census runs
 
 
-def wilson_interval(count: int, total: int, z: float = 3.0):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(count: int, total: int):
+    """Wilson score interval for a binomial proportion, WILSON_Z wide."""
     if total == 0:
         return (0.0, 1.0)
     phat = count / total
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / total
     center = (phat + z2 / (2 * total)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / total + z2 / (4 * total * total)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1 - phat) / total + z2 / (4 * total * total)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -469,11 +466,8 @@ def _batch(spec, certs, count_points: bool, keep_trials: bool, trials):
     for i in range(len(trials)):
         verdicts = {cert: decided[cert][i].empty for cert in certs}
         count = count_points and (keep_trials or verdicts.get("ci", False))
-        system = None
-        if count or keep_trials:
-            system = PolySystem(pattern=pattern, field=field, forms=tuple(
-                form_from_coeffs(field, pattern.n + 1, e, f[i].tolist())
-                for f, e in zip(forms, pattern.d)))
+        system = (_system(pattern, field, [f[i].tolist() for f in forms])
+                  if count or keep_trials else None)
         out.append((verdicts, count_zf_points(system) if count else None,
                     system.serialize() if keep_trials else None))
     return out
@@ -503,7 +497,7 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
         raise TooLarge(f"P^{n}(F_{q}) exceeds {CENSUS_COUNT_CAP} points")
     if mode == "exhaustive":
         total = _exhaustive_size(pattern, q, exhaustive_cap)
-        jobs, step = 1, _BATCH
+        jobs = 1
     elif mode == "monte_carlo":
         if trials is None or trials < 1:
             raise PatternViolation("monte_carlo mode needs a positive trial count")
@@ -511,9 +505,9 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
             seed = random.randrange(1 << 48)
         total = trials
         jobs = min(jobs, trials, os.cpu_count() or 1)
-        step = min(_BATCH, -(-trials // jobs))
     else:
         raise PatternViolation(f"unknown census mode {mode!r}")
+    step = min(_BATCH, -(-total // jobs))
     fn = partial(_batch, (pattern, q, mode, seed), certs, count_points,
                  keep_trials)
     ranges = (range(lo, min(lo + step, total))
@@ -631,7 +625,8 @@ def oracle_check(trials: int, seed, *, point_cap: int = DEFAULT_POINT_CAP,
     Half the instances are forced to contain a rational zero so both
     branches of the verdict are exercised.  The search depth is clamped to
     the point budget, 20 times larger where the gate says "nonempty", and
-    recorded per instance; one search per instance stops at its first
+    recorded per instance; it is 0, a search of nothing, where P^n(F_q)
+    alone exceeds the budget.  One search per instance stops at its first
     witness.
     """
     rng = random.Random(f"{seed}:oracle")
@@ -644,7 +639,6 @@ def oracle_check(trials: int, seed, *, point_cap: int = DEFAULT_POINT_CAP,
         field = Field(q)
         degrees = rng.choice(_degree_tuples(n + 1, ORACLE_MAX_BEZOUT))
         rooted = rng.random() < 0.5
-        forms = []
         if rooted:
             # the draw of rng.choice on the list of projective_points
             i = np.array([rng.randrange(projective_count(n, q))])
@@ -656,8 +650,8 @@ def oracle_check(trials: int, seed, *, point_cap: int = DEFAULT_POINT_CAP,
         mac = projective_empty(ts)
         requested = max(math.prod(degrees), 4)
         budget = point_cap if mac.empty else 20 * point_cap
-        used = max(feasible_max_ext(field, n, budget, requested), 1)
-        brute = brute_force_empty(ts, max_ext=used, point_cap=2 * budget)
+        used = feasible_max_ext(field, n, budget, requested)
+        brute = brute_force_empty(ts, max_ext=used, point_cap=budget)
         agree = mac.empty == (not brute.nonempty)
         record = {"n": n, "q": q, "degrees": list(degrees), "rooted": rooted,
                   "gate_empty": mac.empty, "witness_found": brute.nonempty,

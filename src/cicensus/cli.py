@@ -167,16 +167,14 @@ def _run_config(args) -> dict:
 
 
 def _cmd_census(args, mode: str) -> int:
-    certs = _parse_certs(args.cert)
-    kwargs = dict(certs=certs, count_points=args.count_points,
-                  keep_trials=args.keep_trials)
     if mode == "monte_carlo":
-        report = run_census(args.n, args.s, _parse_d(args.d), args.q,
-                            "monte_carlo", trials=args.trials, seed=args.seed,
-                            jobs=args.jobs, **kwargs)
+        kwargs = dict(trials=args.trials, seed=args.seed, jobs=args.jobs)
     else:
-        report = run_census(args.n, args.s, _parse_d(args.d), args.q,
-                            "exhaustive", exhaustive_cap=args.cap, **kwargs)
+        kwargs = dict(exhaustive_cap=args.cap)
+    report = run_census(args.n, args.s, _parse_d(args.d), args.q, mode,
+                        certs=_parse_certs(args.cert),
+                        count_points=args.count_points,
+                        keep_trials=args.keep_trials, **kwargs)
     payload = report.to_json_dict()
     payload["run_config"] = _run_config(args)
     _emit_json(payload, args.out)

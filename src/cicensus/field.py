@@ -20,6 +20,7 @@ blocks).
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -289,11 +290,7 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:  # base-2 digits add without carry
             return a ^ b
-        p = self.p
-        out = 0
-        for w in self._weights:
-            out += (a // w + b // w) % p * w
-        return out
+        return self._digitwise(operator.add, a, b)
 
     def neg(self, a):
         return self.sub(0, a)
@@ -303,10 +300,14 @@ class Field:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
+        return self._digitwise(operator.sub, a, b)
+
+    def _digitwise(self, op, a, b):
+        """op (add or sub) on the base-p digits of a and b, each mod p."""
         p = self.p
         out = 0
         for w in self._weights:
-            out += (a // w - b // w) % p * w
+            out += op(a // w, b // w) % p * w
         return out
 
     def mul(self, a, b):

@@ -193,23 +193,29 @@ class Poly:
             (e[:j] + (e[j] - 1,) + e[j + 1:], f.mul(c, f.from_int(e[j])))
             for e, c in self.terms.items() if e[j])))
 
+    def values(self, pts, field: Field, emb):
+        """The values at the rows of the int64 point block pts over field,
+        each coefficient c read as emb[c]: one array mul per variable
+        factor of a term, none for a coefficient 1."""
+        x = pts.T
+        acc = np.zeros(len(pts), dtype=np.int64)
+        for e, c in self.terms.items():
+            t = None if emb[c] == 1 else emb[c]  # None: the coefficient 1
+            for j, ej in enumerate(e):
+                for _ in range(ej):
+                    t = x[j] if t is None else field.mul(t, x[j])
+            acc = field.add(acc, 1 if t is None else t)
+        return acc
+
     def eval_at(self, point, field: Field | None = None) -> int:
-        """Exact value at a point, optionally over an extension field."""
+        """Exact value at a point, optionally over an extension field
+        (``embedding_table``): ``values`` on a block of one row."""
         if len(point) != self.nvars:
             raise ArityMismatch(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
         E = self.field if field is None else field
-        emb = None
-        if E != self.field:
-            emb = embedding_table(self.field, E)
-        acc = 0
-        for e, c in self.terms.items():
-            t = c if emb is None else emb[c]
-            for j, ej in enumerate(e):
-                if ej:
-                    t = E.mul(t, E.pow(point[j], ej))
-            acc = E.add(acc, t)
-        return acc
+        emb = embedding_table(self.field, E) or range(E.q)  # None: no embedding
+        return int(self.values(np.array([point], dtype=np.int64), E, emb)[0])
 
     # -- identity and text --------------------------------------------------
 

@@ -14,7 +14,9 @@ against each of ``BINOMIAL_FLOORS``, the ``brute_force_absirr``
 verdicts for every conic over F_2 and F_3 in enumeration order and for
 the plane cubics ``sample_system(2, 1, (3,), 3, i)``, i < 40, the
 polynomials themselves (``terms``: every Jacobian minor J_k of seeded
-systems and the ``chow_class`` coefficients), the field and embedding
+systems and the ``chow_class`` coefficients), ``Poly.eval_at`` of the
+forms of seeded systems at every point of P^n(F_q) and, for q = 3 and 4,
+of P^n(F_{q^2}) (``eval-at``, ``EVAL_SYSTEMS``), the field and embedding
 table of ``Field(p, k).extension(m)`` for nine towers over non-prime
 bases, and ``cicensus test`` on each committed system of
 ``cibench/systems``, one certificate at a time.  The package is
@@ -38,8 +40,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from cicensus import (CERTS, Field, brute_force_absirr,  # noqa: E402
                       chow_class, enumerate_systems, jacobian_minor,
-                      oracle_check, parse_system_file, run_census,
-                      sample_system)
+                      oracle_check, parse_system_file, projective_points,
+                      run_census, sample_system)
 from cicensus.census import binomial_below  # noqa: E402
 from cicensus.cli import main as cli_main  # noqa: E402
 
@@ -138,6 +140,29 @@ def _terms():
     return "\n".join(lines)
 
 
+# (n, s, d, q) of the seeded systems whose forms the eval-at case
+# evaluates at every point of P^n(F_q), and for q in EVAL_SQUARED also at
+# every point of P^n(F_{q^2}) through field=
+EVAL_SYSTEMS = tuple((2, 1, (3,), q) for q in (3, 4, 16, 27, 101)) + (
+    (3, 2, (2, 1), 3), (3, 2, (2, 1), 4))
+EVAL_SQUARED = (3, 4)
+
+
+def _eval_at():
+    lines = []
+    for n, s, d, q in EVAL_SYSTEMS:
+        for seed in range(3):
+            system = sample_system(n, s, d, q, seed)
+            fields = [system.field]
+            if q in EVAL_SQUARED:
+                fields.append(system.field.extension(2)[0])
+            for f in system.forms:
+                for ext in fields:
+                    lines.append(" ".join(str(f.eval_at(x, field=ext))
+                                          for x in projective_points(ext, n)))
+    return "\n".join(lines)
+
+
 # (p, k, m) of the towers F_{p^k} -> F_{p^(km)} the extension case hashes:
 # every one has a base that is not a prime field, so its embedding is not
 # the identity, in characteristics 2, 3, 5 and 7
@@ -169,6 +194,7 @@ def cases():
     yield "absirr-conics-q2-q3", _absirr_conics
     yield "absirr-cubics-q3", _absirr_cubics
     yield "terms", _terms
+    yield "eval-at", _eval_at
     yield "extension-embeddings", _extension_embeddings
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
