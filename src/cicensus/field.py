@@ -318,7 +318,9 @@ class Field:
         return exp[log[a] + log[b]]
 
     def submul(self, x, c, y):
-        """x - c*y; a prime field reduces once per entry."""
+        """x - c*y, every entry reduced.  The elimination kernels call it
+        over extension fields only: over a prime field they subtract in
+        plain int64 and reduce late (``macaulay._subtract``)."""
         if self.k == 1:
             return (x - c * y) % self.p
         return self.sub(x, self.mul(c, y))

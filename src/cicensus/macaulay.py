@@ -30,11 +30,22 @@ decided for many systems at once, from one int64 (B, M) coefficient
 array per form (``decide_coeffs``; ``decide_many`` converts its systems
 at the boundary): the forms fill int64 (B, R, C) stacks of at most
 _STACK_CELLS cells, one scatter per form, and each stack is eliminated
-in place in lockstep (``_echelon_stack``).  The gate sizes every matrix
-in closed form first (``bounds.macaulay_shape``): one over
-DEFAULT_MAX_CELLS cells raises TooLarge before anything is built.
-Forms are validated where they come from outside, in
-``projective_empty``.
+in place in lockstep (``_echelon_stack``).
+
+Over F_p both kernels delay reduction (Dumas, Giorgi and Pernet, ACM
+TOMS 35(3), 2008).  An update x - c*y with c and y in [0, p) takes at
+most (p-1)^2 from an entry, so an entry that starts in [0, p) stays in
+int64 for L = floor((2^63 - 1 - p) / (p-1)^2) updates; L >= 2, since
+Field caps p below 2^31.  The rows below a pivot are therefore updated
+in plain int64 and reduced once every L updates
+(``_reduction_interval``); only the pivot column and the pivot row are
+read reduced.  Over an extension field every update reduces
+(``Field.submul``).
+
+The gate sizes every matrix in closed form first
+(``bounds.macaulay_shape``): one over DEFAULT_MAX_CELLS cells raises
+TooLarge before anything is built.  Forms are validated where they come
+from outside, in ``projective_empty``.
 """
 
 from __future__ import annotations
@@ -78,25 +89,72 @@ class EmptinessVerdict:
         return self.ncols - self.rank
 
 
-def _echelon(a, field: Field) -> int:
+def _reduction_interval(p: int) -> int:
+    """The updates x -> x - c*y, c and y in [0, p), that an int64 entry
+    starting in [0, p) can take before it must be reduced mod p: the
+    largest L with L (p-1)^2 + p <= 2^63 - 1.  Field caps p below 2^31,
+    so L >= 2: L = 2 at p = 2^31 - 1, L = 3 near 1.7e9, about 2.3e10 at
+    p = 20011."""
+    return (2 ** 63 - 1 - p) // (p - 1) ** 2
+
+
+def _reduced(x, field: Field):
+    """x with its entries in [0, q): over F_p the kernels leave them
+    unreduced."""
+    return x % field.p if field.k == 1 else x
+
+
+def _subtract(a, rows, prow, block, updates: int, field: Field) -> int:
+    """Subtract from the rows a[rows] their first entry times the scaled
+    pivot row prow, and return the count of unreduced updates a[block],
+    the rows below the pivot, has now taken.  An extension field reduces
+    every entry (``field.submul``).  Over F_p the rows stay unreduced:
+    an update takes at most (p-1)^2 from an entry, so a[block] is
+    reduced once, first, when it has taken ``_reduction_interval(p)``."""
+    if field.k > 1:
+        below = a[rows]
+        a[rows] = field.submul(below, below[..., :1], prow)
+        return updates
+    p = field.p
+    if updates == _reduction_interval(p):
+        a[block] %= p
+        updates = 0
+    below = a[rows]
+    below -= below[..., :1] % p * prow
+    a[rows] = below
+    return updates + 1
+
+
+def _echelon(a, field: Field, updates: int = 0) -> int:
     """Rank of the int64 matrix a, eliminated in place row by row; one
-    read of column c per pivot gives the pivot row and the rows to update."""
+    read of column c per pivot gives the pivot row and the rows to update.
+
+    Over F_p the rows below the pivot are updated in plain int64 and left
+    unreduced (``_subtract``); column c is read reduced, and the pivot row
+    is reduced before it is scaled.  ``updates`` counts the unreduced
+    updates a has taken (the stack kernel hands its count over).  An
+    update stops at the pivot row's last nonzero column."""
     if not a.size:
         return 0
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):
-        nz = r + a[r:, c].nonzero()[0]
+        nz = r + _reduced(a[r:, c], field).nonzero()[0]
         if nz.size == 0:
             continue
         piv = int(nz[0])
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        # columns left of c are zero in rows r and below
-        a[r, c:] = field.mul(a[r, c:], field.inv(int(a[r, c])))
+            a[r, c:], a[piv, c:] = a[piv, c:], a[r, c:].copy()
+        # columns left of c are no longer read
+        row = _reduced(a[r, c:], field)
+        a[r, c:] = field.mul(row, field.inv(int(row[0])))
         hit = nz[1:]  # the swap put row r's zero where the pivot was
         if hit.size:
-            a[hit, c:] = field.submul(a[hit, c:], a[hit, c, None], a[r, c:])
+            # past the pivot row's last nonzero an update subtracts 0
+            end = c + int(row.nonzero()[0][-1]) + 1
+            updates = _subtract(a, (hit, slice(c, end)), a[r, c:end],
+                                (slice(r + 1, None), slice(c, None)),
+                                updates, field)
         r += 1
         if r == nrows:
             break
@@ -110,24 +168,27 @@ def _echelon_stack(a, field: Field):
     in only some of them splits the group; the others go on the worklist
     at column c + 1.  One read of column c per pivot gives the pivots and
     the rows to update.  A group of one finishes in the row loop, which
-    indexes one matrix faster than the stack."""
+    indexes one matrix faster than the stack.  Reduction is delayed as in
+    the row loop: a group carries its count of unreduced updates, both
+    parts of a split keep it, and a group of one hands it over."""
     nb, nrows, ncols = a.shape
     ranks = np.zeros(nb, dtype=np.int64)
-    work = [(np.arange(nb), 0, 0)] if a.size else []
+    # matrices, column, pivot row, unreduced updates
+    work = [(np.arange(nb), 0, 0, 0)] if a.size else []
     while work:
-        idx, c, r = work.pop()  # matrices, column, pivot row
+        idx, c, r, updates = work.pop()
         while c < ncols and r < nrows:
             if len(idx) == 1:  # the rest of one matrix: the row loop
-                r += _echelon(a[idx[0], r:, c:], field)
+                r += _echelon(a[idx[0], r:, c:], field, updates)
                 break
             sel = slice(None) if len(idx) == nb else idx
-            nz = a[sel, r:, c] != 0
+            nz = _reduced(a[sel, r:, c], field) != 0
             has = nz.any(axis=1)
             if not has.all():
                 if not has.any():
                     c += 1
                     continue
-                work.append((idx[~has], c + 1, r))
+                work.append((idx[~has], c + 1, r, updates))
                 idx, nz = idx[has], nz[has]
                 sel = idx
             piv = nz.argmax(axis=1)
@@ -135,17 +196,17 @@ def _echelon_stack(a, field: Field):
             if moved.size:
                 b, p = idx[moved], r + piv[moved]
                 a[b, r], a[b, p] = a[b, p], a[b, r]
-            a[sel, r, c:] = field.mul(a[sel, r, c:],
-                                      field.inv(a[sel, r, c])[:, None])
+            row = _reduced(a[sel, r, c:], field)
+            a[sel, r, c:] = field.mul(row, field.inv(row[:, 0])[:, None])
             # the rows below r with an entry in column c in any matrix
             nz[np.arange(len(idx)), piv] = False  # each pivot is in row r now
             hit = r + nz.any(axis=0).nonzero()[0]
             if hit.size:
                 mats = idx[:, None] if sel is idx else sel
-                rows = (mats, hit, slice(c, None))
-                below = a[rows]
-                a[rows] = field.submul(below, below[:, :, :1],
-                                       a[sel, r, None, c:])
+                updates = _subtract(a, (mats, hit, slice(c, None)),
+                                    a[sel, r, None, c:],
+                                    (sel, slice(r + 1, None), slice(c, None)),
+                                    updates, field)
             c, r = c + 1, r + 1
         ranks[idx] = r
     return ranks

@@ -13,6 +13,8 @@ the ``binomial_below`` verdicts for every count of 0 to 60 trials
 against each of ``BINOMIAL_FLOORS``, the ``brute_force_absirr``
 verdicts for every conic over F_2 and F_3 in enumeration order and for
 the plane cubics ``sample_system(2, 1, (3,), 3, i)``, i < 40, the
+``decide_many`` verdict vectors of ``ci``, ``nons`` and ``irr`` for all
+29,524 plane cubics over F_3 (``decide-cubics-q3``, about 5 s), the
 polynomials themselves (``terms``: every Jacobian minor J_k of seeded
 systems and the ``chow_class`` coefficients), ``Poly.eval_at`` of the
 forms of seeded systems at every point of P^n(F_q) and, for q = 3 and 4,
@@ -22,7 +24,8 @@ bases, and ``cicensus test`` on each committed system of
 ``cibench/systems``, one certificate at a time.  The package is
 imported from the ``src`` beside this script, so the hashes belong to
 that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a 6237x3003
-matrix and takes about 90 of the run's 100 s on two cores.
+matrix and takes about 35 of the run's 48 s (one core of a 2-core
+machine, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from cicensus import (CERTS, Field, brute_force_absirr,  # noqa: E402
-                      chow_class, enumerate_systems, jacobian_minor,
-                      oracle_check, parse_system_file, projective_points,
-                      run_census, sample_system)
+                      chow_class, decide_many, enumerate_systems,
+                      jacobian_minor, oracle_check, parse_system_file,
+                      projective_points, run_census, sample_system)
 from cicensus.census import binomial_below  # noqa: E402
 from cicensus.cli import main as cli_main  # noqa: E402
 
@@ -116,6 +119,15 @@ def _absirr_conics():
 def _absirr_cubics():
     return "".join(str(int(brute_force_absirr(
         sample_system(2, 1, (3,), 3, i).forms[0]))) for i in range(40))
+
+
+def _decide_cubics():
+    # 13,122 ci, 11,664 nons and 11,664 irr passes
+    cubics = list(enumerate_systems(2, 1, (3,), 3))
+    return "\n".join(
+        f"{cert} " + "".join(str(int(v.empty))
+                             for v in decide_many(cubics, cert))
+        for cert in ("ci", "nons", "irr"))
 
 
 # (n, s, d, q) of the systems whose minors the terms case hashes; the
@@ -193,6 +205,7 @@ def cases():
     yield "binomial-grid", _binomial_grid
     yield "absirr-conics-q2-q3", _absirr_conics
     yield "absirr-cubics-q3", _absirr_cubics
+    yield "decide-cubics-q3", _decide_cubics
     yield "terms", _terms
     yield "eval-at", _eval_at
     yield "extension-embeddings", _extension_embeddings
