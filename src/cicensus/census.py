@@ -62,7 +62,7 @@ ORACLE_DIMS = (1, 2, 3)
 ORACLE_FIELDS = (2, 3, 5)
 ORACLE_MAX_BEZOUT = 8
 _BLOCK = 4096  # points or candidate factors per array, bounding its memory
-_BATCH = 64  # census trials decided together; macaulay cuts the stacks
+_BATCH = 256  # census trials decided together; macaulay cuts the stacks
 VIOLATION_ALPHA = Fraction(135, 100000)  # one-sided 3 sigma
 WILSON_Z = 3.0  # the displayed interval is 3 sigma wide on each side
 

@@ -15,7 +15,10 @@ built on the first multiplication, shared by every Field with the same
 (p, k, modulus) and capped at q <= 2^20.  add, neg, sub, mul, submul
 and inv take encodings as Python ints, returning ints, or as int64
 arrays (the elimination kernel's rows and pivots, the point search's
-blocks).
+blocks).  A prime field inverts an array through a table of every
+inverse mod p, built on the first such call and shared by every Field
+with the same p, for p <= 2^20; above that, and for a Python int, it
+inverts with pow.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import numpy as np
 from .errors import (DegreeMismatch, DivisionByZero, NotPrime,
                      ReducibleModulus, TooLarge)
 
-_TABLE_LIMIT = 1 << 20  # largest extension field order; tables take 40 q bytes
+# largest extension field order and largest p with an inverse table;
+# tables take 40 q and 8 p bytes
+_TABLE_LIMIT = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -207,6 +212,22 @@ def _exp_log(p, k, modulus):
     return (exp, log), (memoryview(exp), memoryview(log))
 
 
+@lru_cache(maxsize=32)
+def _inverses(p):
+    """The int64 array of a^(p-2) mod p for 0 <= a < p: the inverse of
+    every nonzero a, by square and multiply on all of them at once
+    (Fermat).  p <= 2^20 keeps every product below 2^40."""
+    base = np.arange(p, dtype=np.int64)
+    inv = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    return inv
+
+
 _EXTENSIONS = {}  # (p, k, modulus, m) -> Field.extension(m) of that field
 
 
@@ -327,13 +348,17 @@ class Field:
 
     def inv(self, a):
         """Inverse of a nonzero encoding, or of every entry of an int64
-        array of them."""
+        array of them, of the array's shape.  Over F_p an int is inverted
+        by pow, an array through ``_inverses(p)`` when p <= _TABLE_LIMIT
+        and by pow entry by entry above it."""
         scalar = type(a) is int
         if not (a if scalar else a.all()):
             raise DivisionByZero("zero has no inverse")
         if self.k == 1:
             if scalar:
                 return pow(a, -1, self.p)
+            if self.p <= _TABLE_LIMIT:
+                return _inverses(self.p)[a]
             return np.array([pow(x, -1, self.p) for x in a.ravel().tolist()],
                             dtype=np.int64).reshape(a.shape)
         arrays, views = self._tables or self._load_tables()

@@ -62,7 +62,7 @@ from .poly import (DegreePattern, Poly, PolySystem, TestSystem, cert_recipe,
                    coeff_array, minor_arrays, recipe_degrees,
                    restrict_index, shift_index)
 
-_STACK_CELLS = 1 << 15  # cells of one stack of matrices: 256 KiB of int64
+_STACK_CELLS = 1 << 17  # cells of one stack of matrices: 1 MiB of int64
 DEFAULT_MAX_CELLS = 1 << 25  # cells of the largest matrix decided
 
 

@@ -48,12 +48,15 @@ def test_census_stacks_stay_within_the_cell_budget(monkeypatch):
         return eliminate(a, field)
 
     monkeypatch.setattr(macaulay, "_eliminate", spy)
-    # 70 trials: a batch of 64 and one of 6
-    report = run_census(3, 2, (2, 2), 1009, "monte_carlo", trials=70, seed=1)
-    assert report.total == 70
+    # a full batch and one of 6
+    trials = census._BATCH + 6
+    report = run_census(3, 2, (2, 2), 1009, "monte_carlo", trials=trials,
+                        seed=1)
+    assert report.total == trials
     assert {(r, c) for _, r, c in seen} == {(4, 4), (18, 15), (80, 56)}
     assert all(b * r * c <= max(_STACK_CELLS, r * c) for b, r, c in seen)
-    assert max(b for b, _, _ in seen) == 64  # the 4x4 and 18x15 stacks
+    # the 4x4 and 18x15 stacks
+    assert max(b for b, _, _ in seen) == census._BATCH
 
 
 def test_point_counting_is_capped_before_sampling(monkeypatch):

@@ -15,6 +15,7 @@ from cicensus import (CERTS, DivisionByZero, PatternViolation, TooLarge,
                       field_from_order, macaulay_instance,
                       rank_over_field, recipe_macaulay_shape, run_census,
                       sample_system)
+from cicensus.field import _TABLE_LIMIT, _inverses, is_prime
 from cicensus.macaulay import _STACK_CELLS, DEFAULT_MAX_CELLS
 
 FIELDS = (2, 3, 16, 27, 101, 1009)
@@ -70,15 +71,30 @@ def test_stack_edge_shapes_and_copy():
     assert (a == kept).all()  # the caller's array is not eliminated
 
 
-@pytest.mark.parametrize("q", (2, 101, 16, 27, 2 ** 31 - 1))
+# the primes on either side of the inverse table's cap
+LAST_TABLE_PRIME = next(p for p in range(_TABLE_LIMIT, 1, -1) if is_prime(p))
+FIRST_POW_PRIME = next(p for p in range(_TABLE_LIMIT + 1, 2 * _TABLE_LIMIT)
+                       if is_prime(p))
+
+
+@pytest.mark.parametrize("q", (2, 101, 1009, 20011, LAST_TABLE_PRIME,
+                               FIRST_POW_PRIME, 16, 27, 2 ** 31 - 1))
 def test_array_inverse(q):
     # 2^31 - 1 is the largest characteristic a Field takes
+    _inverses.cache_clear()
     f = field_from_order(q)
     a = np.array(random.Random(q).sample(range(1, q), min(q - 1, 300)),
                  dtype=np.int64)
-    assert f.inv(a).tolist() == [f.inv(int(x)) for x in a]
+    want = [f.inv(int(x)) for x in a]
+    assert f.inv(a).tolist() == want
+    b = np.stack([a, a[::-1]])
+    assert f.inv(b).shape == b.shape
+    assert field_from_order(q).inv(b).tolist() == [want, want[::-1]]
     with pytest.raises(DivisionByZero):
         f.inv(np.append(a, 0))
+    # one table per prime p <= _TABLE_LIMIT, none otherwise
+    tabled = f.k == 1 and q <= _TABLE_LIMIT
+    assert _inverses.cache_info().misses == tabled
 
 
 def _reference(system, cert):
@@ -135,8 +151,11 @@ def test_stacks_stay_within_the_cell_budget(monkeypatch):
         return eliminate(a, field)
 
     monkeypatch.setattr(macaulay, "_eliminate", spy)
+    # 80x56 at (3,2,(2,2)): per matrices to a stack, and half as many
+    # systems again, so that they take several stacks
+    per = _STACK_CELLS // (80 * 56)
     systems = [sample_system(3, 2, (2, 2), 1009, f"cells:{i}")
-               for i in range(40)]
+               for i in range(per + per // 2 + 1)]
     for cert in CERTS:
         seen.clear()
         decide_many(systems, cert)
@@ -144,9 +163,8 @@ def test_stacks_stay_within_the_cell_budget(monkeypatch):
         assert sum(b for b, _, _ in seen) <= len(systems)
         assert all(b * nrows * ncols <= max(_STACK_CELLS, nrows * ncols)
                    for b, _, _ in seen)
-        # 80x56 at (3,2,(2,2)): seven matrices to a stack
         if (nrows, ncols) == (80, 56):
-            assert nb == _STACK_CELLS // (80 * 56) == 7 and len(seen) > 1
+            assert nb == per > 1 and len(seen) > 1
     # a matrix larger than the budget is decided alone
     seen.clear()
     decide(sample_system(4, 2, (2, 2), 1009, "cells"), "nons")
@@ -156,15 +174,43 @@ def test_stacks_stay_within_the_cell_budget(monkeypatch):
 def test_two_worker_census_over_uneven_batches_matches_serial(monkeypatch):
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     args = (3, 2, (2, 2), 1009, "monte_carlo")
-    kw = dict(trials=30, seed=3, certs=("ci", "irr"), keep_trials=True)
     rows, cols = recipe_macaulay_shape(3, 2, (2, 2), "irr")
     size = _STACK_CELLS // (rows * cols)
-    assert 30 // size >= 3 and 30 % size  # several batches, the last short
+    # two batches, the last one short, and several stacks, the last short
+    trials = 3 * size + 2
+    assert trials % 2 and trials // size >= 3 and trials % size
+    kw = dict(trials=trials, seed=3, certs=("ci", "irr"), keep_trials=True)
     serial = run_census(*args, jobs=1, **kw)
     pooled = run_census(*args, jobs=2, **kw)
     assert (pooled.to_json(include_volatile=False)
             == serial.to_json(include_volatile=False))
-    assert [r.index for r in pooled.trial_records] == list(range(30))
+    assert [r.index for r in pooled.trial_records] == list(range(trials))
+
+
+def test_reports_do_not_depend_on_stack_or_batch_size(monkeypatch):
+    per = _STACK_CELLS // (80 * 56)
+    # nons and irr: stacks of per, per and a lone 80x56 matrix, which the
+    # stack kernel hands to the row loop
+    mc = ((3, 2, (2, 2), 1009, "monte_carlo"),
+          dict(trials=2 * per + 1, seed=11, keep_trials=True))
+    exh = ((2, 1, (2,), 3, "exhaustive"), {})
+    seen = []
+    eliminate = macaulay._eliminate
+
+    def spy(a, f):
+        seen.append(a.shape)
+        return eliminate(a, f)
+
+    monkeypatch.setattr(macaulay, "_eliminate", spy)
+    want = [run_census(*args, **kw).to_json(include_volatile=False)
+            for args, kw in (mc, exh)]
+    assert [b for b, r, c in seen if (r, c) == (80, 56)] == [per, per, 1] * 2
+    for cells, batch in ((1, census._BATCH), (_STACK_CELLS, 1),
+                         (_STACK_CELLS, 1000), (1, 1), (1, 1000)):
+        monkeypatch.setattr(macaulay, "_STACK_CELLS", cells)
+        monkeypatch.setattr(census, "_BATCH", batch)
+        assert [run_census(*args, **kw).to_json(include_volatile=False)
+                for args, kw in (mc, exh)] == want
 
 
 @pytest.mark.parametrize("n,s,d", [(2, 1, (2,)), (3, 2, (2, 1)),

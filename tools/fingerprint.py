@@ -60,10 +60,15 @@ CENSUS_CASES = (
      CERTS, True),
     ("census-3-2-22-q1009", 3, 2, (2, 2), 1009, "monte_carlo", 30, 5, CERTS,
      False),
-    # two batches of 15 trials, one per worker; the 80x56 matrices of
-    # nons and irr go in stacks of 7, 7 and 1
+    # two batches of 15 trials, one per worker, each one stack of the
+    # 80x56 matrices of nons and irr; the serial twin above decides one
+    # batch of 30, in stacks of 29 and 1
     ("census-3-2-22-q1009-jobs2", 3, 2, (2, 2), 1009, "monte_carlo", 30, 5,
      CERTS, False, 2),
+    # one batch of 200 trials in stacks of 29; the batches of 64 in
+    # stacks of 7 that earlier versions decided must hash alike
+    ("census-3-2-22-q1009-200", 3, 2, (2, 2), 1009, "monte_carlo", 200, 5,
+     ("ci", "nons", "irr"), False),
     ("census-4-2-22-q1009", 4, 2, (2, 2), 1009, "monte_carlo", 30, 1,
      ("stci", "ci", "irr"), False),
     ("census-4-2-22-q1009-nons", 4, 2, (2, 2), 1009, "monte_carlo", 30, 1,
