@@ -20,13 +20,14 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import (bounds_report, degree_bounds, pattern_landscape,
-                     pattern_stats, recipe_macaulay_degree)
+                     pattern_stats, recipe_macaulay_degree,
+                     recipe_macaulay_shape)
 from .census import (DEFAULT_EXHAUSTIVE_CAP, DEFAULT_POINT_CAP, oracle_check,
                      run_census)
 from .chow import chow_class, extract_bound, top_coefficient
 from .errors import CicensusError
 from .field import parse_field_spec
-from .macaulay import decide
+from .macaulay import DEFAULT_MAX_CELLS, decide
 from .poly import CERTS, cert_recipe, parse_system_file, recipe_degrees
 
 OUTDIR_ENV = "CICENSUS_OUTDIR"
@@ -100,9 +101,7 @@ def _cmd_bounds(args) -> int:
                     "sigma": st.sigma, "D": list(st.big_d),
                     "D_total": st.big_d_total},
         "degree_bounds": {
-            cert: {"per_i": list(db.per_i), "concise": db.concise,
-                   "macaulay_degree": recipe_macaulay_degree(
-                       st.n, st.s, st.d, cert)}
+            cert: _degree_entry(st, cert, db)
             for cert, db in rep.degree.items()},
     }
     if rep.q is not None:
@@ -120,6 +119,17 @@ def _cmd_bounds(args) -> int:
         payload["probability"] = prob
     _emit_json(payload, args.out)
     return 0
+
+
+def _degree_entry(st, cert, db) -> dict:
+    """The certificate's degree bounds, and the Macaulay degree and shape
+    of its sliced matrix, with whether that exceeds the cell cap that
+    makes deciding it raise TooLarge."""
+    rows, cols = recipe_macaulay_shape(st.n, st.s, st.d, cert)
+    return {"per_i": list(db.per_i), "concise": db.concise,
+            "macaulay_degree": recipe_macaulay_degree(st.n, st.s, st.d, cert),
+            "macaulay_shape": [rows, cols],
+            "exceeds_cap": rows * cols > DEFAULT_MAX_CELLS}
 
 
 _GUARANTEES = {

@@ -7,23 +7,25 @@ packed in base p as c_0 + c_1*p + ... + c_{k-1}*p^(k-1).  The encoding
 is canonical: distinct integers are distinct elements, 0 and 1 are the
 additive and multiplicative identities in every field.
 
-Addition and subtraction work digit by digit, on a prime field in one
-step and in characteristic 2 as the exclusive or of the encodings.  An
-extension field multiplies through exp/log tables of its first primitive
-element in encoding order (Lidl and Niederreiter, Finite Fields, ch. 9),
-built on the first multiplication, shared by every Field with the same
-(p, k, modulus) and capped at q <= 2^20.  add, neg, sub, mul, submul
-and inv take encodings as Python ints, returning ints, or as int64
-arrays (the elimination kernel's rows and pivots, the point search's
-blocks).  A prime field inverts an array through a table of every
-inverse mod p, built on the first such call and shared by every Field
-with the same p, for p <= 2^20; above that, and for a Python int, it
-inverts with pow.
+A prime field adds and subtracts mod p, and characteristic 2 adds and
+subtracts as the exclusive or of the encodings.  Any other extension
+field works through tables of its first primitive element g in encoding
+order, built on first use, shared by every Field with the same
+(p, k, modulus) and capped at q <= 2^20: exp/log tables for products
+(Lidl and Niederreiter, Finite Fields, ch. 9) and a table of Zech
+logarithms, zech[d] = log(1 + g^d), for sums (Huber, IEEE Trans. Inf.
+Theory 36(4), 1990): a + g^s b = g^(log a + zech[log b + s - log a]),
+with s = 0 for a sum and s = (q-1)/2, where g^s = -1, for a difference.
+add, neg, sub, mul, submul and inv take encodings as Python ints,
+returning ints, or as int64 arrays (the elimination kernel's rows and
+pivots, the point search's blocks).  A prime field inverts an array
+through a table of every inverse mod p, built on the first such call and
+shared by every Field with the same p, for p <= 2^20; above that, and
+for a Python int, it inverts with pow.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +34,7 @@ from .errors import (DegreeMismatch, DivisionByZero, NotPrime,
                      ReducibleModulus, TooLarge)
 
 # largest extension field order and largest p with an inverse table;
-# tables take 40 q and 8 p bytes
+# tables take 48 q and 8 p bytes
 _TABLE_LIMIT = 1 << 20
 
 
@@ -177,11 +179,12 @@ def find_modulus(p, k):
 
 @lru_cache(maxsize=32)  # holds every field oracle_check's search meets
 def _exp_log(p, k, modulus):
-    """exp/log tables of F_{p^k} modulo `modulus`, as int64 arrays and as
-    memoryviews of them (whose items are Python ints).
+    """exp, log and Zech tables of F_{p^k} modulo `modulus`, as int64
+    arrays and as memoryviews of them (whose items are Python ints).
 
     exp[i] = g^i for 0 <= i < 2(q-1) and 0 above; log[0] = 2(q-1), so an
-    index sum with a zero operand lands in the zeros.
+    index sum with a zero operand lands in the zeros.  zech[d] =
+    log(1 + g^d) for 0 <= d < q-1, which is log[0] where g^d = -1.
     """
     q = p ** k
     m = list(modulus)
@@ -209,7 +212,11 @@ def _exp_log(p, k, modulus):
     log = np.empty(q, dtype=np.int64)
     log[exp[:q - 1]] = a[:q - 1]
     log[0] = 2 * q - 2
-    return (exp, log), (memoryview(exp), memoryview(log))
+    # adding 1 changes only digit 0: (c_0 + 1) mod p
+    c0 = exp[:q - 1] % p
+    zech = log[exp[:q - 1] - c0 + (c0 + 1) % p]
+    return (exp, log, zech), (memoryview(exp), memoryview(log),
+                              memoryview(zech))
 
 
 @lru_cache(maxsize=32)
@@ -311,7 +318,7 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:  # base-2 digits add without carry
             return a ^ b
-        return self._digitwise(operator.add, a, b)
+        return self._zech(a, b, 0)
 
     def neg(self, a):
         return self.sub(0, a)
@@ -321,21 +328,28 @@ class Field:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        return self._digitwise(operator.sub, a, b)
+        return self._zech(a, b, (self.q - 1) // 2)
 
-    def _digitwise(self, op, a, b):
-        """op (add or sub) on the base-p digits of a and b, each mod p."""
-        p = self.p
-        out = 0
-        for w in self._weights:
-            out += op(a // w, b // w) % p * w
-        return out
+    def _zech(self, a, b, s):
+        """a + g^s b for odd p and k > 1: g^(log a + zech[log b + s -
+        log a]) when neither operand is zero, and exp's zeros where the
+        sum is zero.  A zero b gives a, a zero a gives g^s b, which is
+        exp[log b + s] for b = 0 too, since log[0] + s indexes the zeros.
+        Zero operands index exp at most at 2 log[0] < len(exp)."""
+        arrays, views = self._tables or self._load_tables()
+        scalar = type(a) is type(b) is int
+        exp, log, zech = views if scalar else arrays
+        la, lb = log[a], log[b] + s
+        out = exp[la + zech[(lb - la) % (self.q - 1)]]
+        if scalar:
+            return out if a and b else exp[lb] if b else a
+        return np.where(b == 0, a, np.where(a == 0, exp[lb], out))
 
     def mul(self, a, b):
         if self.k == 1:
             return a * b % self.p
         arrays, views = self._tables or self._load_tables()
-        exp, log = views if type(a) is type(b) is int else arrays
+        exp, log, _ = views if type(a) is type(b) is int else arrays
         return exp[log[a] + log[b]]
 
     def submul(self, x, c, y):
@@ -362,7 +376,7 @@ class Field:
             return np.array([pow(x, -1, self.p) for x in a.ravel().tolist()],
                             dtype=np.int64).reshape(a.shape)
         arrays, views = self._tables or self._load_tables()
-        exp, log = views if scalar else arrays
+        exp, log, _ = views if scalar else arrays
         return exp[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
@@ -372,7 +386,7 @@ class Field:
             if e < 0:
                 raise DivisionByZero("zero has no inverse")
             return 0 if e else 1
-        exp, log = (self._tables or self._load_tables())[1]
+        exp, log, _ = (self._tables or self._load_tables())[1]
         return exp[log[a] * e % (self.q - 1)]
 
     def _load_tables(self):

@@ -128,3 +128,21 @@ def test_bad_degree_list(capsys):
     code, _, err = _run(capsys, "bounds", "--n", "3", "--s", "2", "--d", "2;1")
     assert code == 1
     assert "degree list" in err
+
+
+def test_bounds_reports_matrix_shapes(capsys):
+    code, out, _ = _run(capsys, "bounds", "--n", "5", "--s", "3",
+                        "--d", "2,2,2")
+    assert code == 0
+    entries = json.loads(out)["degree_bounds"]
+    assert entries["irr"]["macaulay_shape"] == [882, 495]
+    assert entries["irr"]["exceeds_cap"] is False
+    for cert, entry in entries.items():
+        rows, cols = entry["macaulay_shape"]
+        assert entry["exceeds_cap"] == (rows * cols > 1 << 25), cert
+    # (6, 3, (2, 2, 2)) nons slices to a 44044x18564 matrix, over the cap
+    code, out, _ = _run(capsys, "bounds", "--n", "6", "--s", "3",
+                        "--d", "2,2,2")
+    nons = json.loads(out)["degree_bounds"]["nons"]
+    assert nons["macaulay_shape"] == [44044, 18564]
+    assert nons["exceeds_cap"] is True

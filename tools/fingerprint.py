@@ -20,7 +20,9 @@ systems and the ``chow_class`` coefficients), ``Poly.eval_at`` of the
 forms of seeded systems at every point of P^n(F_q) and, for q = 3 and 4,
 of P^n(F_{q^2}) (``eval-at``, ``EVAL_SYSTEMS``), the field and embedding
 table of ``Field(p, k).extension(m)`` for nine towers over non-prime
-bases, and ``cicensus test`` on each committed system of
+bases, the full ``add`` and ``sub`` tables of odd-characteristic
+extension fields up to F_1331 (``field-add-sub``, ``ADD_SUB_FIELDS``),
+and ``cicensus test`` on each committed system of
 ``cibench/systems``, one certificate at a time.  The package is
 imported from the ``src`` beside this script, so the hashes belong to
 that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a 6237x3003
@@ -37,6 +39,8 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -192,6 +196,23 @@ def _extension_embeddings():
                      (Field(p, k).extension(m) for p, k, m in TOWERS))
 
 
+# (p, k) of the fields whose add and sub tables, over every pair of
+# elements, the field-add-sub case hashes
+ADD_SUB_FIELDS = ((3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3),
+                  (3, 5), (11, 3))
+
+
+def _field_add_sub():
+    lines = []
+    for p, k in ADD_SUB_FIELDS:
+        f = Field(p, k)
+        a = np.repeat(np.arange(f.q, dtype=np.int64), f.q)
+        b = np.tile(np.arange(f.q, dtype=np.int64), f.q)
+        lines += [" ".join(map(str, f.add(a, b).tolist())),
+                  " ".join(map(str, f.sub(a, b).tolist()))]
+    return "\n".join(lines)
+
+
 def _cli_test(path: Path, cert: str):
     field = parse_system_file(path.read_text()).field.spec_str()
     out = io.StringIO()
@@ -214,6 +235,7 @@ def cases():
     yield "terms", _terms
     yield "eval-at", _eval_at
     yield "extension-embeddings", _extension_embeddings
+    yield "field-add-sub", _field_add_sub
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
             yield (f"test-{path.stem}-{cert}",
