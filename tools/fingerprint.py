@@ -14,7 +14,9 @@ against each of ``BINOMIAL_FLOORS``, the ``brute_force_absirr``
 verdicts for every conic over F_2 and F_3 in enumeration order and for
 the plane cubics ``sample_system(2, 1, (3,), 3, i)``, i < 40, the
 ``decide_many`` verdict vectors of ``ci``, ``nons`` and ``irr`` for all
-29,524 plane cubics over F_3 (``decide-cubics-q3``, about 5 s), the
+29,524 plane cubics over F_3 (``decide-cubics-q3``, about 2 s), the
+``decide`` verdict of ``nons`` for ``sample_system(4, 2, (3, 3), 1009,
+0)`` (``nons-4-2-33``, a 5733x3060 matrix of rank 3060), the
 polynomials themselves (``terms``: every Jacobian minor J_k of seeded
 systems and the ``chow_class`` coefficients), ``Poly.eval_at`` of the
 forms of seeded systems at every point of P^n(F_q) and, for q = 3 and 4,
@@ -26,8 +28,8 @@ and ``cicensus test`` on each committed system of
 ``cibench/systems``, one certificate at a time.  The package is
 imported from the ``src`` beside this script, so the hashes belong to
 that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a 6237x3003
-matrix and takes about 35 of the run's 48 s (one core of a 2-core
-machine, Python 3.11, numpy 2.4).
+matrix in about 1.5 s and ``nons-4-2-33`` takes about 1.7 s, of a run of
+14 s (one core of a 2-core machine, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from cicensus import (CERTS, Field, brute_force_absirr,  # noqa: E402
-                      chow_class, decide_many, enumerate_systems,
+                      chow_class, decide, decide_many, enumerate_systems,
                       jacobian_minor, oracle_check, parse_system_file,
                       projective_points, run_census, sample_system)
 from cicensus.census import binomial_below  # noqa: E402
@@ -137,6 +139,11 @@ def _decide_cubics():
         f"{cert} " + "".join(str(int(v.empty))
                              for v in decide_many(cubics, cert))
         for cert in ("ci", "nons", "irr"))
+
+
+def _decide_nons_4_2_33():
+    # a 5733x3060 matrix over F_1009 of rank 3060
+    return repr(decide(sample_system(4, 2, (3, 3), 1009, 0), "nons"))
 
 
 # (n, s, d, q) of the systems whose minors the terms case hashes; the
@@ -232,6 +239,7 @@ def cases():
     yield "absirr-conics-q2-q3", _absirr_conics
     yield "absirr-cubics-q3", _absirr_cubics
     yield "decide-cubics-q3", _decide_cubics
+    yield "nons-4-2-33", _decide_nons_4_2_33
     yield "terms", _terms
     yield "eval-at", _eval_at
     yield "extension-embeddings", _extension_embeddings
