@@ -25,7 +25,12 @@ int64 blocks of points, in the order of projective_points, evaluating
 each form on a whole block with ``Poly.values`` (``Poly.eval_at`` is its
 one-point case); a search of depth 0 scans nothing.  The factor search
 takes its candidate factors in the same blocks and ranks a whole block
-as one stack of ``macaulay._stack`` matrices.
+as one stack of ``macaulay._stack`` matrices.  One rule turns indices
+into points, for these blocks, for the system index of an exhaustive
+census and for the rooted draws of ``oracle_check`` (``_points_at``):
+q^(n-L) points have lead L, and point i of lead L, less the points of
+the leads before it, plus the lead's weight q^(n-L), is the point
+written in base q.
 """
 
 from __future__ import annotations
@@ -167,13 +172,22 @@ def _points_at(q: int, n: int, i):
     """Points i (an int64 array) of P^n(F_q) in the order of
     projective_points, one row each.  weights[L] = q^(n-L) points have
     lead L, from starts[L] on; point i has the largest L with starts[L]
-    <= i, and its coordinates after X_L are i - starts[L] written in
-    base q."""
+    <= i.  For L >= 1, v = i - starts[L] + weights[L] <= i is the point
+    written in base q: digit 1 at X_L and 0 before it.  For L = 0, v = i
+    gives the digits after X_0, and X_0 is i < weights[0].  So no
+    intermediate exceeds i, and each digit of v is u = v // q with a
+    scalar q, then v - u*q, written to its own column."""
     weights = q ** np.arange(n, -1, -1, dtype=np.int64)
     starts = np.cumsum(weights) - weights
-    lead = np.searchsorted(starts, i, side="right") - 1
-    pts = (i - starts[lead])[:, None] // weights % q
-    pts[np.arange(i.size), lead] = 1
+    offset = weights - starts
+    offset[0] = 0
+    v = i + offset[np.searchsorted(starts, i, side="right") - 1]
+    pts = np.empty((len(i), n + 1), dtype=np.int64)
+    for j in range(n, 0, -1):
+        u = v // q
+        pts[:, j] = v - u * q
+        v = u
+    pts[:, 0] = i < weights[0]
     return pts
 
 

@@ -335,14 +335,17 @@ class Field:
         log a]) when neither operand is zero, and exp's zeros where the
         sum is zero.  A zero b gives a, a zero a gives g^s b, which is
         exp[log b + s] for b = 0 too, since log[0] + s indexes the zeros.
-        Zero operands index exp at most at 2 log[0] < len(exp)."""
+        Zero operands index exp at most at 2 log[0] < len(exp).  On
+        arrays zech is read with take(mode="wrap"): len(zech) = q - 1,
+        so the wrap is the reduction mod q - 1."""
         arrays, views = self._tables or self._load_tables()
         scalar = type(a) is type(b) is int
         exp, log, zech = views if scalar else arrays
         la, lb = log[a], log[b] + s
-        out = exp[la + zech[(lb - la) % (self.q - 1)]]
         if scalar:
+            out = exp[la + zech[(lb - la) % (self.q - 1)]]
             return out if a and b else exp[lb] if b else a
+        out = exp[la + zech.take(lb - la, mode="wrap")]
         return np.where(b == 0, a, np.where(a == 0, exp[lb], out))
 
     def mul(self, a, b):

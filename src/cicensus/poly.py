@@ -196,16 +196,22 @@ class Poly:
     def values(self, pts, field: Field, emb):
         """The values at the rows of the int64 point block pts over field,
         each coefficient c read as emb[c]: one array mul per variable
-        factor of a term, none for a coefficient 1."""
+        factor of a term, none for a coefficient 1, and one add per term
+        after the first, with which the sum starts.  The result is a new
+        array, never a view of pts."""
         x = pts.T
-        acc = np.zeros(len(pts), dtype=np.int64)
+        acc = None
         for e, c in self.terms.items():
             t = None if emb[c] == 1 else emb[c]  # None: the coefficient 1
             for j, ej in enumerate(e):
                 for _ in range(ej):
                     t = x[j] if t is None else field.mul(t, x[j])
-            acc = field.add(acc, 1 if t is None else t)
-        return acc
+            t = 1 if t is None else t
+            acc = t if acc is None else field.add(acc, t)
+        if len(self.terms) > 1:
+            return acc
+        # no term, a constant, or one term whose value may be a column of pts
+        return np.full(len(pts), 0 if acc is None else acc, dtype=np.int64)
 
     def eval_at(self, point, field: Field | None = None) -> int:
         """Exact value at a point, optionally over an extension field

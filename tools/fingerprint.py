@@ -24,7 +24,13 @@ of P^n(F_{q^2}) (``eval-at``, ``EVAL_SYSTEMS``), the field and embedding
 table of ``Field(p, k).extension(m)`` for nine towers over non-prime
 bases, the full ``add`` and ``sub`` tables of odd-characteristic
 extension fields up to F_1331 (``field-add-sub``, ``ADD_SUB_FIELDS``),
-and ``cicensus test`` on each committed system of
+the point search (``point-search``, ``POINT_SPACES``): the
+``brute_force_empty`` verdicts, witnesses included, of seeded test
+systems over P^1 to P^3 of F_2, F_3, F_4, F_5 and F_9 to depth 3 or
+what the default point cap allows, ``census._points_at`` on a fixed
+random index set per space, and the order of
+``enumerate_systems(2, 1, (2,), 3)``, and ``cicensus test`` on each
+committed system of
 ``cibench/systems``, one certificate at a time.  The package is
 imported from the ``src`` beside this script, so the hashes belong to
 that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a 6237x3003
@@ -38,6 +44,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,11 +54,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from cicensus import (CERTS, Field, brute_force_absirr,  # noqa: E402
-                      chow_class, decide, decide_many, enumerate_systems,
-                      jacobian_minor, oracle_check, parse_system_file,
-                      projective_points, run_census, sample_system)
-from cicensus.census import binomial_below  # noqa: E402
+from cicensus import (CERTS, Field, TestSystem,  # noqa: E402
+                      brute_force_absirr, brute_force_empty, chow_class,
+                      decide, decide_many, enumerate_systems,
+                      feasible_max_ext, field_from_order, jacobian_minor,
+                      oracle_check, parse_system_file, projective_points,
+                      run_census, sample_system)
+from cicensus.bounds import projective_count  # noqa: E402
+from cicensus.census import (DEFAULT_POINT_CAP, _points_at,  # noqa: E402
+                             _random_form, binomial_below)
 from cicensus.cli import main as cli_main  # noqa: E402
 
 # (label, n, s, d, q, mode, trials, seed, certs, count_points[, jobs]); a
@@ -220,6 +231,32 @@ def _field_add_sub():
     return "\n".join(lines)
 
 
+# (q, n) of the spaces P^n(F_q) the point-search case scans and indexes
+POINT_SPACES = tuple((q, n) for q in (2, 3, 4, 5, 9) for n in (1, 2, 3))
+
+
+def _point_search():
+    lines = []
+    for q, n in POINT_SPACES:
+        field = field_from_order(q)
+        depth = feasible_max_ext(field, n, DEFAULT_POINT_CAP, 3)
+        for k in range(12):
+            # n+1 random forms, or n forms and a repeat, so that both
+            # verdicts and witnesses over several extensions occur
+            rng = random.Random(f"point-search:{q}:{n}:{k}")
+            degrees = tuple(rng.choice((1, 2, 3)) for _ in range(n + 1))
+            forms = [_random_form(rng, field, n + 1, e) for e in degrees]
+            if k % 2:
+                forms[-1], degrees = forms[0], degrees[:-1] + degrees[:1]
+            ts = TestSystem("point-search", field, n + 1, forms, degrees)
+            lines.append(repr((q, n, degrees, brute_force_empty(ts, depth))))
+        total = projective_count(n, q)
+        i = np.random.default_rng(q * 10 + n).integers(0, total, 300)
+        lines.append(repr(_points_at(q, n, i).tolist()))
+    lines += [system.serialize() for system in enumerate_systems(2, 1, (2,), 3)]
+    return "\n".join(lines)
+
+
 def _cli_test(path: Path, cert: str):
     field = parse_system_file(path.read_text()).field.spec_str()
     out = io.StringIO()
@@ -244,6 +281,7 @@ def cases():
     yield "eval-at", _eval_at
     yield "extension-embeddings", _extension_embeddings
     yield "field-add-sub", _field_add_sub
+    yield "point-search", _point_search
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
             yield (f"test-{path.stem}-{cert}",
