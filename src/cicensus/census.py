@@ -49,12 +49,13 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .bounds import (probability_lower_bound, projective_count,
-                     recipe_macaulay_shape, system_space_size)
+from .bounds import (pattern_stats, probability_lower_bound,
+                     projective_count, recipe_macaulay_shape,
+                     system_space_size)
 from .errors import PatternViolation, SearchSpaceTooLarge, TooLarge
 from .field import Field, field_from_order
-from .macaulay import (_stack, check_shape, decide_coeffs, projective_empty,
-                       rank_over_field)
+from .macaulay import (DEFAULT_MAX_CELLS, _stack, check_shape, decide_coeffs,
+                       projective_empty, rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    coeff_array, form_from_coeffs, monomials, shift_index)
 
@@ -118,7 +119,17 @@ def sample_system(n: int, s: int, d, q: int, seed) -> PolySystem:
 
 
 def _exhaustive_size(pattern: DegreePattern, q: int, cap) -> int:
-    """system_space_size, or TooLarge above the cap or int64 indexing."""
+    """system_space_size, or TooLarge above the cap or int64 indexing.
+    The count is bounded by bit lengths before it is computed: it is at
+    least q^D >= 2^bits, D = sum D_i (``pattern_stats``)."""
+    bits = (pattern_stats(pattern.n, pattern.s, pattern.d).big_d_total
+            * (q.bit_length() - 1))
+    if cap is not None and bits >= cap.bit_length():
+        raise TooLarge(f"2^{bits} or more systems exceed the exhaustive cap "
+                       f"{cap}")
+    if bits >= 63:
+        raise TooLarge(f"2^{bits} or more systems are too many to index in "
+                       f"int64")
     total = system_space_size(pattern.n, pattern.s, pattern.d, q)
     if cap is not None and total > cap:
         raise TooLarge(f"{total} systems exceed the exhaustive cap {cap}")
@@ -494,7 +505,8 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
     """Run a certificate census and compare against the theoretical floors.
 
     Trials are decided in batches of at most _BATCH, at least one per
-    worker.  A matrix over DEFAULT_MAX_CELLS cells, or with
+    worker.  A matrix or a batch of coefficient arrays over
+    DEFAULT_MAX_CELLS cells, an exhaustive space over the cap, or with
     ``count_points`` a P^n(F_q) over CENSUS_COUNT_CAP points, raises
     TooLarge before anything is sampled."""
     t0 = time.monotonic()
@@ -522,6 +534,10 @@ def run_census(n: int, s: int, d, q: int, mode: str, *, trials: int | None = Non
     else:
         raise PatternViolation(f"unknown census mode {mode!r}")
     step = min(_BATCH, -(-total // jobs))
+    cells = step * sum(math.comb(n + e, e) for e in pattern.d)
+    if cells > DEFAULT_MAX_CELLS:
+        raise TooLarge(f"a batch of {step} systems has {cells} coefficients, "
+                       f"over {DEFAULT_MAX_CELLS} cells")
     fn = partial(_batch, (pattern, q, mode, seed), certs, count_points,
                  keep_trials)
     ranges = (range(lo, min(lo + step, total))

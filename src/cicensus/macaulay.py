@@ -30,7 +30,7 @@ decided for many systems at once, from one int64 (B, M) coefficient
 array per form (``decide_coeffs``; ``decide_many`` converts its systems
 at the boundary): the forms fill int64 (B, R, C) stacks of at most
 _STACK_CELLS cells, one scatter per form, and each stack is eliminated
-in place in lockstep (``_echelon_stack``).
+in lockstep (``_echelon_stack``), each part of a split in its own copy.
 
 One matrix is eliminated by the row loop (``_echelon``), which keeps
 the band these matrices have.  A row m * g_j spans many columns in
@@ -50,10 +50,12 @@ TOMS 35(3), 2008).  An update x - c*y with c and y in [0, p) takes at
 most (p-1)^2 from an entry, so an entry that starts in [0, p) stays in
 int64 for L = floor((2^63 - 1 - p) / (p-1)^2) updates; L >= 2, since
 Field caps p below 2^31.  The rows a pivot updates are therefore updated
-in plain int64, and the columns not yet eliminated are reduced once
-every L updates (``_reduction_interval``); a kernel reduces the pivot
-column and the pivot row as it reads them, and nothing else.  Over an
-extension field every update reduces (``Field.submul``).
+in plain int64, and the whole array a kernel works on, the reversed
+matrix or a group's own stack, is reduced once every L updates
+(``_reduction_interval``); its entries already eliminated are only
+reduced again.  Otherwise a kernel reduces the pivot column and the
+pivot row as it reads them, and nothing else.  Over an extension field
+every update reduces (``Field.submul``).
 
 The gate sizes every matrix in closed form first
 (``bounds.macaulay_shape``): one over DEFAULT_MAX_CELLS cells raises
@@ -117,21 +119,21 @@ def _reduced(x, field: Field):
     return x % field.p if field.k == 1 else x
 
 
-def _subtract(a, rows, mult, prow, block, updates: int, field: Field) -> int:
+def _subtract(a, rows, mult, prow, updates: int, field: Field) -> int:
     """Subtract from the rows a[rows] the reduced multipliers mult times
     the scaled pivot row prow, and return the count of unreduced updates
-    a[block], the part of a still to be read, has now taken.  Neither
-    kernel reads a pivot column again, so a[rows] starts right of it.  An
-    extension field reduces every entry (``field.submul``).  Over F_p the
-    rows stay unreduced: an update takes at most (p-1)^2 from an entry, so
-    a[block] is reduced once, first, when it has taken
-    ``_reduction_interval(p)``."""
+    a has now taken.  Neither kernel reads a pivot column again, so
+    a[rows] starts right of it.  An extension field reduces every entry
+    (``field.submul``).  Over F_p the rows stay unreduced: an update takes
+    at most (p-1)^2 from an entry, so the whole array a is reduced once,
+    first, when it has taken ``_reduction_interval(p)``; its entries
+    already eliminated are only reduced again."""
     if field.k > 1:
         a[rows] = field.submul(a[rows], mult, prow)
         return updates
     p = field.p
     if updates == _reduction_interval(p):
-        a[block] %= p
+        a %= p
         updates = 0
     below = a[rows]
     below -= mult * prow
@@ -143,12 +145,13 @@ def _echelon(a, field: Field, updates: int = 0) -> int:
     """Rank of the int64 matrix a, eliminated in place one column at a
     time, right to left, on the view a[:, ::-1] (module docstring).
 
-    last[i] bounds row i's last nonzero column in that order.  The pivot
-    of column c is the row with a nonzero there whose last is least, the
-    first of them on a tie.  The other such rows are updated on columns
-    c+1 to the pivot row's last nonzero, end - 1, and their last becomes
-    at least end - 1; last may overstate a row's end, so an update may
-    run over zeros, but it never misses a nonzero.  The pivot row is not
+    last[i] bounds row i's last nonzero column in that order; it is
+    computed once.  The pivot of column c is the row with a nonzero there
+    whose last is least, the first of them on a tie.  The other such rows
+    are updated on columns c+1 to the pivot row's last nonzero, end - 1,
+    and end - 1 <= last[piv] <= last of each of them, so last stays a
+    bound; it may overstate a row's end, so an update may run over zeros,
+    but it never misses a nonzero.  The pivot row is not
     swapped: it is retired by zeroing it, so the rows with a nonzero in
     column c are the candidates, and the rank is the count of pivots.
     No column is read after its pivot step.
@@ -176,12 +179,7 @@ def _echelon(a, field: Field, updates: int = 0) -> int:
         if hit.size and end > c + 1:
             prow = field.mul(row[1:end - c], field.inv(int(row[0])))
             updates = _subtract(a, (hit, slice(c + 1, end)),
-                                col[hit, None], prow,
-                                (slice(None), slice(c + 1, None)),
-                                updates, field)
-            # a no-op for the least last, but it keeps last a bound
-            # under any choice of pivot
-            last[hit] = np.maximum(last[hit], end - 1)
+                                col[hit, None], prow, updates, field)
         a[piv, c:end] = 0
         rank += 1
         if rank == nrows:
@@ -190,60 +188,57 @@ def _echelon(a, field: Field, updates: int = 0) -> int:
 
 
 def _echelon_stack(a, field: Field):
-    """Ranks of the matrices a[b] of the int64 stack a, eliminated in place
-    in lockstep: a group of matrices shares its column c and pivot row r,
+    """Ranks of the matrices a[b] of the int64 stack a, eliminated in
+    lockstep: a group of matrices shares its column c and pivot row r,
     each swaps its own first nonzero row into r, and a column with a pivot
-    in only some of them splits the group; the others go on the worklist
-    at column c + 1.  One read of column c per pivot gives the pivots and
-    the rows to update.  A group of one finishes in the row loop, which
-    indexes one matrix faster than the stack.  Reduction is delayed as in
-    the row loop: a group carries its count of unreduced updates, both
-    parts of a split keep it, and a group of one hands it over."""
+    in only some of them splits the group.  Each part of a split is copied
+    into its own stack: the others go on the worklist at column c + 1, so
+    every step works on a whole group.  One read of column c per pivot
+    gives the pivots and the rows to update.  A group of one finishes in
+    the row loop, which indexes one matrix faster than the stack.
+    Reduction is delayed as in the row loop: a group carries its count of
+    unreduced updates, both parts of a split keep it, and a group of one
+    hands it over.  Only a stack that never splits is eliminated in
+    place."""
     nb, nrows, ncols = a.shape
     ranks = np.zeros(nb, dtype=np.int64)
-    # matrices, column, pivot row, unreduced updates
-    work = [(np.arange(nb), 0, 0, 0)] if a.size else []
+    # matrices, their stack, column, pivot row, unreduced updates
+    work = [(np.arange(nb), a, 0, 0, 0)] if a.size else []
     while work:
-        idx, c, r, updates = work.pop()
+        idx, a, c, r, updates = work.pop()
         while c < ncols and r < nrows:
             if len(idx) == 1:  # the rest of one matrix: the row loop
-                r += _echelon(a[idx[0], r:, c:], field, updates)
+                r += _echelon(a[0, r:, c:], field, updates)
                 break
-            sel = slice(None) if len(idx) == nb else idx
-            nz = _reduced(a[sel, r:, c], field) != 0
+            nz = _reduced(a[:, r:, c], field) != 0
             has = nz.any(axis=1)
             if not has.all():
                 if not has.any():
                     c += 1
                     continue
-                work.append((idx[~has], c + 1, r, updates))
-                idx, nz = idx[has], nz[has]
-                sel = idx
+                work.append((idx[~has], a[~has], c + 1, r, updates))
+                idx, a, nz = idx[has], a[has], nz[has]
             piv = nz.argmax(axis=1)
             moved = piv.nonzero()[0]
             if moved.size:
-                b, p = idx[moved], r + piv[moved]
-                a[b, r], a[b, p] = a[b, p], a[b, r]
-            row = _reduced(a[sel, r, c:], field)
-            a[sel, r, c:] = field.mul(row, field.inv(row[:, 0])[:, None])
+                p = r + piv[moved]
+                a[moved, r], a[moved, p] = a[moved, p], a[moved, r]
+            row = _reduced(a[:, r, c:], field)
+            a[:, r, c:] = field.mul(row, field.inv(row[:, 0])[:, None])
             # the rows below r with an entry in column c in any matrix
             nz[np.arange(len(idx)), piv] = False  # each pivot is in row r now
             hit = r + nz.any(axis=0).nonzero()[0]
             if hit.size:
-                mats = idx[:, None] if sel is idx else sel
-                mult = _reduced(a[mats, hit, c], field)[..., None]
-                updates = _subtract(a, (mats, hit, slice(c + 1, None)), mult,
-                                    a[sel, r, None, c + 1:],
-                                    (sel, slice(r + 1, None),
-                                     slice(c + 1, None)),
-                                    updates, field)
+                updates = _subtract(a, (slice(None), hit, slice(c + 1, None)),
+                                    _reduced(a[:, hit, c], field)[..., None],
+                                    a[:, r, None, c + 1:], updates, field)
             c, r = c + 1, r + 1
         ranks[idx] = r
     return ranks
 
 
 def _eliminate(a, field: Field):
-    """Rank of an int64 matrix, or the ranks of a stack, in place."""
+    """Rank of an int64 matrix, or the ranks of a stack; a is overwritten."""
     if a.ndim < 3:
         return _echelon(a, field)
     return _echelon_stack(a, field)

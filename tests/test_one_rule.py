@@ -1,7 +1,10 @@
 """The point search under a small budget, and an exhaustive audit that a
 pass implies the property its certificate states, run through the one
 form evaluator (``Poly.values``) and the stacked factor rows of
-``brute_force_absirr``, over prime and extension bases."""
+``brute_force_absirr``, over prime and extension bases, for plane curves
+and for space curves cut out by a quadric and a plane."""
+
+import itertools
 
 import pytest
 
@@ -70,3 +73,24 @@ def test_a_pass_implies_its_property(d, q, total, passes):
             assert _singular_points(f, 2) <= 3
         if passed["irr"][i]:
             assert brute_force_absirr(f)
+
+
+def _singular_curve_points(f, g, m: int) -> int:
+    """Points of Z(f, g) in P^3(F_{q^m}) at which all six 2x2 minors of the
+    Jacobian of (f, g) vanish."""
+    ext, emb = f.field.extension(m)
+    df, dg = ([h.partial(j) for j in range(h.nvars)] for h in (f, g))
+    minors = [df[i] * dg[j] - df[j] * dg[i]
+              for i, j in itertools.combinations(range(f.nvars), 2)]
+    return sum(len(_common_zeros([f, g] + minors, ext, emb, pts))
+               for pts in _point_blocks(ext, f.nvars - 1))
+
+
+def test_a_nons_pass_of_a_space_curve_is_smooth():
+    # every (3,2,(2,1)) system over F_2: no singular point up to F_4
+    systems = list(enumerate_systems(3, 2, (2, 1), 2))
+    passed = [system.forms for system, v in
+              zip(systems, decide_many(systems, "nons")) if v.empty]
+    assert (len(systems), len(passed)) == (15_345, 2048)
+    for f, g in passed:
+        assert all(_singular_curve_points(f, g, m) == 0 for m in (1, 2))

@@ -29,8 +29,10 @@ the point search (``point-search``, ``POINT_SPACES``): the
 systems over P^1 to P^3 of F_2, F_3, F_4, F_5 and F_9 to depth 3 or
 what the default point cap allows, ``census._points_at`` on a fixed
 random index set per space, and the order of
-``enumerate_systems(2, 1, (2,), 3)``, and ``cicensus test`` on each
-committed system of
+``enumerate_systems(2, 1, (2,), 3)``, the ``rank_over_field`` ranks of
+seeded low-rank stacks with a third of each matrix's columns zeroed, so
+that lockstep groups split, over the fields of ``SPLIT_FIELDS``
+(``stack-splits``), and ``cicensus test`` on each committed system of
 ``cibench/systems``, one certificate at a time.  The package is
 imported from the ``src`` beside this script, so the hashes belong to
 that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a 6237x3003
@@ -57,9 +59,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from cicensus import (CERTS, Field, TestSystem,  # noqa: E402
                       brute_force_absirr, brute_force_empty, chow_class,
                       decide, decide_many, enumerate_systems,
-                      feasible_max_ext, field_from_order, jacobian_minor,
-                      oracle_check, parse_system_file, projective_points,
-                      run_census, sample_system)
+                      feasible_max_ext, field_from_order, is_prime,
+                      jacobian_minor, oracle_check, parse_system_file,
+                      projective_points, rank_over_field, run_census,
+                      sample_system)
 from cicensus.bounds import projective_count  # noqa: E402
 from cicensus.census import (DEFAULT_POINT_CAP, _points_at,  # noqa: E402
                              _random_form, binomial_below)
@@ -257,6 +260,40 @@ def _point_search():
     return "\n".join(lines)
 
 
+# (p, k) of the fields whose stack ranks the stack-splits case hashes:
+# F_2, F_3, F_20011, the two ends of the reduction interval (L = 3 at the
+# first prime above 1.7e9, L = 2 at 2^31 - 1), F_16 and F_27
+SPLIT_FIELDS = ((2, 1), (3, 1), (20011, 1),
+                (next(p for p in range(1_700_000_000, 1 << 31)
+                      if is_prime(p)), 1),
+                (2 ** 31 - 1, 1), (2, 4), (3, 3))
+
+
+def _stack_splits():
+    lines = []
+    for p, k in SPLIT_FIELDS:
+        field = Field(p, k)
+        rng = np.random.default_rng(p % 1009 + k)
+        for _ in range(40):
+            nb = int(rng.integers(2, 10))
+            nrows, ncols = (int(x) for x in rng.integers(2, 16, size=2))
+            # each row a combination of two of `rank` random rows, and a
+            # third of the columns zeroed per matrix, so that columns have
+            # pivots in only some matrices and groups split
+            rank = int(rng.integers(1, min(nrows, ncols) + 1))
+            base = rng.integers(0, field.q, size=(nb, rank, ncols))
+            pick = rng.integers(0, rank, size=(2, nb, nrows))
+            mult = rng.integers(0, field.q, size=(2, nb, nrows, 1))
+            mats = field.add(
+                field.mul(np.take_along_axis(base, pick[0][..., None], 1),
+                          mult[0]),
+                field.mul(np.take_along_axis(base, pick[1][..., None], 1),
+                          mult[1]))
+            mats[rng.random((nb, 1, ncols)).repeat(nrows, 1) < 1 / 3] = 0
+            lines.append(repr((p, k, rank_over_field(mats, field).tolist())))
+    return "\n".join(lines)
+
+
 def _cli_test(path: Path, cert: str):
     field = parse_system_file(path.read_text()).field.spec_str()
     out = io.StringIO()
@@ -282,6 +319,7 @@ def cases():
     yield "extension-embeddings", _extension_embeddings
     yield "field-add-sub", _field_add_sub
     yield "point-search", _point_search
+    yield "stack-splits", _stack_splits
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
             yield (f"test-{path.stem}-{cert}",
