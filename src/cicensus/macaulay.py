@@ -49,13 +49,12 @@ Over F_p both kernels delay reduction (Dumas, Giorgi and Pernet, ACM
 TOMS 35(3), 2008).  An update x - c*y with c and y in [0, p) takes at
 most (p-1)^2 from an entry, so an entry that starts in [0, p) stays in
 int64 for L = floor((2^63 - 1 - p) / (p-1)^2) updates; L >= 2, since
-Field caps p below 2^31.  The rows a pivot updates are therefore updated
-in plain int64, and the whole array a kernel works on, the reversed
-matrix or a group's own stack, is reduced once every L updates
-(``_reduction_interval``); its entries already eliminated are only
-reduced again.  Otherwise a kernel reduces the pivot column and the
-pivot row as it reads them, and nothing else.  Over an extension field
-every update reduces (``Field.submul``).
+Field caps p below 2^31.  The rows a pivot updates are updated in plain
+int64 and reduced only when one of their entries could not take another
+update, a check that a matrix of at most L pivots skips (``_subtract``).
+Otherwise a kernel reduces the pivot column and the pivot row as it
+reads them, and nothing else.  Over an extension field every update
+reduces (``Field.submul``).
 
 The gate sizes every matrix in closed form first
 (``bounds.macaulay_shape``): one over DEFAULT_MAX_CELLS cells raises
@@ -119,29 +118,28 @@ def _reduced(x, field: Field):
     return x % field.p if field.k == 1 else x
 
 
-def _subtract(a, rows, mult, prow, updates: int, field: Field) -> int:
+def _subtract(a, rows, mult, prow, field: Field) -> None:
     """Subtract from the rows a[rows] the reduced multipliers mult times
-    the scaled pivot row prow, and return the count of unreduced updates
-    a has now taken.  Neither kernel reads a pivot column again, so
-    a[rows] starts right of it.  An extension field reduces every entry
-    (``field.submul``).  Over F_p the rows stay unreduced: an update takes
-    at most (p-1)^2 from an entry, so the whole array a is reduced once,
-    first, when it has taken ``_reduction_interval(p)``; its entries
-    already eliminated are only reduced again."""
+    the scaled pivot row prow; neither kernel reads a pivot column again,
+    so a[rows] starts right of it.  An extension field reduces every entry
+    (``field.submul``).  Over F_p every entry, at least 0 on input, can
+    take one more update of at most (p-1)^2, and the updated rows are
+    reduced when one of them could not.  An entry takes one update per
+    pivot at most, and a matrix has min(nrows, ncols) pivots at most, so
+    on one of at most ``_reduction_interval(p)`` the check is skipped."""
     if field.k > 1:
         a[rows] = field.submul(a[rows], mult, prow)
-        return updates
+        return
     p = field.p
-    if updates == _reduction_interval(p):
-        a %= p
-        updates = 0
     below = a[rows]
     below -= mult * prow
+    if (min(a.shape[-2:]) > _reduction_interval(p)
+            and below.min() < (p - 1) ** 2 - 2 ** 63 + 1):
+        below %= p
     a[rows] = below
-    return updates + 1
 
 
-def _echelon(a, field: Field, updates: int = 0) -> int:
+def _echelon(a, field: Field) -> int:
     """Rank of the int64 matrix a, eliminated in place one column at a
     time, right to left, on the view a[:, ::-1] (module docstring).
 
@@ -157,9 +155,7 @@ def _echelon(a, field: Field, updates: int = 0) -> int:
     No column is read after its pivot step.
 
     Over F_p the updated rows stay unreduced (``_subtract``); column c is
-    read reduced, and the pivot row is reduced before it is scaled.
-    ``updates`` counts the unreduced updates a has taken (the stack
-    kernel hands its count over)."""
+    read reduced, and the pivot row is reduced before it is scaled."""
     if not a.size:
         return 0
     nrows, ncols = a.shape
@@ -178,8 +174,8 @@ def _echelon(a, field: Field, updates: int = 0) -> int:
         hit = nz[nz != piv]
         if hit.size and end > c + 1:
             prow = field.mul(row[1:end - c], field.inv(int(row[0])))
-            updates = _subtract(a, (hit, slice(c + 1, end)),
-                                col[hit, None], prow, updates, field)
+            _subtract(a, (hit, slice(c + 1, end)), col[hit, None], prow,
+                      field)
         a[piv, c:end] = 0
         rank += 1
         if rank == nrows:
@@ -194,21 +190,23 @@ def _echelon_stack(a, field: Field):
     in only some of them splits the group.  Each part of a split is copied
     into its own stack: the others go on the worklist at column c + 1, so
     every step works on a whole group.  One read of column c per pivot
-    gives the pivots and the rows to update.  A group of one finishes in
-    the row loop, which indexes one matrix faster than the stack.
-    Reduction is delayed as in the row loop: a group carries its count of
-    unreduced updates, both parts of a split keep it, and a group of one
-    hands it over.  Only a stack that never splits is eliminated in
-    place."""
+    gives the pivots and the rows to update.  Reduction is delayed as in
+    the row loop (``_subtract``).  A group of one finishes in the row
+    loop, which indexes one matrix faster than the stack, unless the stack
+    has more than L = ``_reduction_interval(p)`` pivots and the rest at
+    most L: the row loop would skip the check that rows updated here may
+    still need.  Only a stack that never splits is eliminated in place."""
     nb, nrows, ncols = a.shape
     ranks = np.zeros(nb, dtype=np.int64)
-    # matrices, their stack, column, pivot row, unreduced updates
-    work = [(np.arange(nb), a, 0, 0, 0)] if a.size else []
+    interval = _reduction_interval(field.p)
+    # matrices, their stack, column, pivot row
+    work = [(np.arange(nb), a, 0, 0)] if a.size else []
     while work:
-        idx, a, c, r, updates = work.pop()
+        idx, a, c, r = work.pop()
         while c < ncols and r < nrows:
-            if len(idx) == 1:  # the rest of one matrix: the row loop
-                r += _echelon(a[0, r:, c:], field, updates)
+            if len(idx) == 1 and not (min(nrows - r, ncols - c) <= interval
+                                      < min(nrows, ncols)):
+                r += _echelon(a[0, r:, c:], field)  # the rest: the row loop
                 break
             nz = _reduced(a[:, r:, c], field) != 0
             has = nz.any(axis=1)
@@ -216,7 +214,7 @@ def _echelon_stack(a, field: Field):
                 if not has.any():
                     c += 1
                     continue
-                work.append((idx[~has], a[~has], c + 1, r, updates))
+                work.append((idx[~has], a[~has], c + 1, r))
                 idx, a, nz = idx[has], a[has], nz[has]
             piv = nz.argmax(axis=1)
             moved = piv.nonzero()[0]
@@ -228,10 +226,10 @@ def _echelon_stack(a, field: Field):
             # the rows below r with an entry in column c in any matrix
             nz[np.arange(len(idx)), piv] = False  # each pivot is in row r now
             hit = r + nz.any(axis=0).nonzero()[0]
-            if hit.size:
-                updates = _subtract(a, (slice(None), hit, slice(c + 1, None)),
-                                    _reduced(a[:, hit, c], field)[..., None],
-                                    a[:, r, None, c + 1:], updates, field)
+            if hit.size and c + 1 < ncols:
+                _subtract(a, (slice(None), hit, slice(c + 1, None)),
+                          _reduced(a[:, hit, c], field)[..., None],
+                          a[:, r, None, c + 1:], field)
             c, r = c + 1, r + 1
         ranks[idx] = r
     return ranks

@@ -1,14 +1,16 @@
 """The elimination kernels over F_p leave the rows they update unreduced
-in int64 and reduce them once every ``_reduction_interval(p)`` updates;
-their ranks against Gaussian elimination on Python ints, at p = 2 and 3,
-a mid-size p, and the two largest intervals' ends: L = 3 near 1.7e9 and
-L = 2 at 2^31 - 1."""
+in int64 and reduce the rows an update leaves unable to take another,
+a check skipped on a matrix of at most ``_reduction_interval(p)``
+pivots; their ranks against Gaussian elimination on Python ints, at
+p = 2 and 3, a mid-size p, and the two largest intervals' ends: L = 3
+near 1.7e9 and L = 2 at 2^31 - 1."""
 
 import numpy as np
 import pytest
 
 from cicensus import Field, is_prime
-from cicensus.macaulay import _reduction_interval, rank_over_field
+from cicensus.macaulay import (_eliminate, _reduction_interval,
+                               rank_over_field)
 from test_kernel import reference_rank
 
 P_L3 = next(p for p in range(1_700_000_000, 1_800_000_000) if is_prime(p))
@@ -102,3 +104,43 @@ def test_callers_array_is_left_as_it_was(p):
     rank_over_field(stack, Field(p))
     rank_over_field(stack[0], Field(p))
     assert np.array_equal(stack, kept)
+
+
+def test_rows_no_pivot_updates_are_left_as_they_were():
+    # the last row reads p, which is 0 mod p, so it never holds a pivot
+    # and no update reaches it; a reduction of the whole array would
+    # rewrite it
+    p = 2 ** 31 - 1
+    mat = np.array(_worst_case(p, 12, 12, 9) + [[p] * 12], dtype=np.int64)
+    stack = np.array([mat, mat])
+    assert _eliminate(mat, Field(p)) == 9
+    assert _eliminate(stack, Field(p)).tolist() == [9, 9]
+    assert (mat[-1] == p).all() and (stack[:, -1] == p).all()
+
+
+@pytest.mark.parametrize("ncols", (3, 4))
+def test_the_check_is_skipped_up_to_the_interval(ncols):
+    # L = 3: a matrix of 3 columns has at most 3 pivots and skips the
+    # check, one of 4 runs it; every update takes (p-1)^2
+    mat = _worst_case(P_L3, 6, ncols, ncols)
+    field = Field(P_L3)
+    assert rank_over_field(mat, field) == reference_rank(mat, P_L3) == ncols
+    ranks = rank_over_field([mat, mat], field)
+    assert ranks.tolist() == [ncols, ncols]
+
+
+def test_a_checked_group_of_one_keeps_its_check():
+    # in lockstep the stack of 7x6 matrices (more than L = 3 pivots)
+    # checks its updates, and the first matrix takes three before its
+    # group splits down to it at column 3; a 4x3 rest in the row loop
+    # would skip the check, and two more updates would wrap int64 and
+    # give rank 6
+    first = [[-3, 0, -2, 6, 0, 1], [-2, -1, 0, 2, 3, 2],
+             [0, 2, 3, -3, 3, 5], [0, -1, -1, 3, -1, -2],
+             [-3, 3, -1, -1, 1, 1], [-1, -2, -1, 7, 0, 0],
+             [1, 0, 0, 4, -2, -1]]
+    first = [[x % P_L3 for x in row] for row in first]
+    second = [row[:2] + [0] + row[2:-1] for row in first]
+    ranks = rank_over_field([first, second], Field(P_L3))
+    assert ranks.tolist() == [reference_rank(m, P_L3) for m in
+                              (first, second)] == [5, 5]

@@ -10,7 +10,7 @@ import pytest
 
 from cicensus import (Field, Poly, SearchSpaceTooLarge, TestSystem,
                       brute_force_absirr, brute_force_empty, census,
-                      enumerate_systems, oracle_check)
+                      compose_linear, enumerate_systems, oracle_check)
 from cicensus.census import _common_zeros, _point_blocks
 from cicensus.cli import main
 from cicensus.macaulay import decide_many
@@ -94,3 +94,34 @@ def test_a_nons_pass_of_a_space_curve_is_smooth():
     assert (len(systems), len(passed)) == (15_345, 2048)
     for f, g in passed:
         assert all(_singular_curve_points(f, g, m) == 0 for m in (1, 2))
+
+
+def _on_the_plane(f, plane):
+    """f restricted to the plane {sum a_i X_i = 0}: X_j -> -a_j^(-1) sum_{i
+    != j} a_i X_i for the first j with a_j != 0, then X_j dropped."""
+    field, nvars = f.field, f.nvars
+    a = [plane.terms.get(tuple(int(i == m) for m in range(nvars)), 0)
+         for i in range(nvars)]
+    j = next(i for i, x in enumerate(a) if x)
+    scale = field.neg(field.inv(a[j]))
+    matrix = [[int(i == m) for m in range(nvars)] for i in range(nvars)]
+    matrix[j] = [0 if m == j else field.mul(scale, a[m])
+                 for m in range(nvars)]
+    g = compose_linear(f, matrix)
+    return Poly(field, nvars - 1, f.degree,
+                {e[:j] + e[j + 1:]: c for e, c in g.terms.items()})
+
+
+def test_ci_and_irr_passes_of_a_space_curve_hold_on_its_plane():
+    # every (3,2,(2,1)) system over F_2: f_1 on the plane f_2 = 0 is a
+    # conic g; a double line, or g = 0, has at least 5 singular points
+    # over F_4, and an irr pass must leave g absolutely irreducible
+    systems = list(enumerate_systems(3, 2, (2, 1), 2))
+    passed = {cert: [system.forms for system, v in
+                     zip(systems, decide_many(systems, cert)) if v.empty]
+              for cert in ("ci", "irr")}
+    assert (len(passed["ci"]), len(passed["irr"])) == (3072, 2048)
+    for f, plane in passed["ci"]:
+        assert _singular_points(_on_the_plane(f, plane), 2) <= 3
+    for f, plane in passed["irr"]:
+        assert brute_force_absirr(_on_the_plane(f, plane))

@@ -146,9 +146,9 @@ def test_stacks_hand_unreduced_matrices_to_the_row_loop(p, monkeypatch):
     handed = []
     row_loop = macaulay._echelon
 
-    def recording(a, fld, updates=0):
-        handed.append((updates, bool((a < 0).any() or (a >= p).any())))
-        return row_loop(a, fld, updates)
+    def recording(a, fld):
+        handed.append(bool((a < 0).any() or (a >= p).any()))
+        return row_loop(a, fld)
 
     monkeypatch.setattr(macaulay, "_echelon", recording)
     for nb in (2, 3, 5):
@@ -163,4 +163,4 @@ def test_stacks_hand_unreduced_matrices_to_the_row_loop(p, monkeypatch):
         ranks = rank_over_field(np.array(mats, dtype=np.int64), field)
         assert ranks.tolist() == [reference_rank(m, field) for m in mats]
     if p > 3:  # over F_2 and F_3 a random column may split earlier
-        assert any(updates > 0 and unreduced for updates, unreduced in handed)
+        assert any(handed)

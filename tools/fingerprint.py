@@ -32,12 +32,18 @@ random index set per space, and the order of
 ``enumerate_systems(2, 1, (2,), 3)``, the ``rank_over_field`` ranks of
 seeded low-rank stacks with a third of each matrix's columns zeroed, so
 that lockstep groups split, over the fields of ``SPLIT_FIELDS``
-(``stack-splits``), and ``cicensus test`` on each committed system of
-``cibench/systems``, one certificate at a time.  The package is
-imported from the ``src`` beside this script, so the hashes belong to
-that checkout.  The ``nons`` case of ``irr-5-3-222`` decides a 6237x3003
-matrix in about 1.5 s and ``nons-4-2-33`` takes about 1.7 s, of a run of
-14 s (one core of a 2-core machine, Python 3.11, numpy 2.4).
+(``stack-splits``), the ``decide_many`` (empty, rank) vectors of every
+certificate for 40 seeded (3,2,(2,2)) systems and the ``irr`` decision
+of ``sample_system(5, 3, (2, 2, 2), p, 0)`` for p in ``BIG_PRIMES``, and
+the ``nons`` decision of ``sample_system(4, 2, (3, 3), 150000001, 0)``
+(``big-primes``: matrices of more pivots than the reduction interval,
+so the kernels' reduction check runs, about 3 s), and ``cicensus test``
+on each committed system of ``cibench/systems``, one certificate at a
+time.  The package is imported from the ``src`` beside this script, so
+the hashes belong to that checkout.  The ``nons`` case of
+``irr-5-3-222`` decides a 6237x3003 matrix in about 1.5 s and
+``nons-4-2-33`` takes about 1.7 s, of a run of 17 s (one core of a
+2-core machine, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -263,10 +269,9 @@ def _point_search():
 # (p, k) of the fields whose stack ranks the stack-splits case hashes:
 # F_2, F_3, F_20011, the two ends of the reduction interval (L = 3 at the
 # first prime above 1.7e9, L = 2 at 2^31 - 1), F_16 and F_27
-SPLIT_FIELDS = ((2, 1), (3, 1), (20011, 1),
-                (next(p for p in range(1_700_000_000, 1 << 31)
-                      if is_prime(p)), 1),
-                (2 ** 31 - 1, 1), (2, 4), (3, 3))
+P_L3 = next(p for p in range(1_700_000_000, 1 << 31) if is_prime(p))
+SPLIT_FIELDS = ((2, 1), (3, 1), (20011, 1), (P_L3, 1), (2 ** 31 - 1, 1),
+                (2, 4), (3, 3))
 
 
 def _stack_splits():
@@ -291,6 +296,27 @@ def _stack_splits():
                           mult[1]))
             mats[rng.random((nb, 1, ncols)).repeat(nrows, 1) < 1 / 3] = 0
             lines.append(repr((p, k, rank_over_field(mats, field).tolist())))
+    return "\n".join(lines)
+
+
+# primes whose interval L = floor((2^63 - 1 - p) / (p-1)^2) is 3049, 409,
+# 3 and 2: the 882x495 irr and 5733x3060 nons matrices have more than 409
+# pivots, so the reduction check runs on them from p = 150000001 up, and
+# on the 80x56 matrices of (3,2,(2,2)) at the last two
+BIG_PRIMES = (55000013, 150000001, P_L3, 2 ** 31 - 1)
+
+
+def _big_primes():
+    lines = []
+    for p in BIG_PRIMES:
+        systems = [sample_system(3, 2, (2, 2), p, i) for i in range(40)]
+        for cert in CERTS:
+            lines.append(repr((p, cert, [(v.empty, v.rank) for v in
+                                         decide_many(systems, cert)])))
+        lines.append(repr(decide(sample_system(5, 3, (2, 2, 2), p, 0),
+                                 "irr")))
+    lines.append(repr(decide(sample_system(4, 2, (3, 3), 150000001, 0),
+                             "nons")))
     return "\n".join(lines)
 
 
@@ -320,6 +346,7 @@ def cases():
     yield "field-add-sub", _field_add_sub
     yield "point-search", _point_search
     yield "stack-splits", _stack_splits
+    yield "big-primes", _big_primes
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
             yield (f"test-{path.stem}-{cert}",
