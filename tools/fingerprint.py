@@ -32,7 +32,12 @@ random index set per space, and the order of
 ``enumerate_systems(2, 1, (2,), 3)``, the ``rank_over_field`` ranks of
 seeded low-rank stacks with a third of each matrix's columns zeroed, so
 that lockstep groups split, over the fields of ``SPLIT_FIELDS``
-(``stack-splits``), the ``decide_many`` (empty, rank) vectors of every
+(``stack-splits``), the ``rank_over_field`` ranks of seeded banded
+matrices in shuffled row order, row-major and column-major, and the
+``decide`` verdicts of every certificate for three seeded (3,2,(2,2))
+and (4,2,(2,2)) systems decided one at a time, over the same fields
+(``row-loop-layouts``: the row loop's window and its two updates), the
+``decide_many`` (empty, rank) vectors of every
 certificate for 40 seeded (3,2,(2,2)) systems and the ``irr`` decision
 of ``sample_system(5, 3, (2, 2, 2), p, 0)`` for p in ``BIG_PRIMES``, and
 the ``nons`` decision of ``sample_system(4, 2, (3, 3), 150000001, 0)``
@@ -299,6 +304,40 @@ def _stack_splits():
     return "\n".join(lines)
 
 
+def _row_loop_layouts():
+    lines = []
+    for p, k in SPLIT_FIELDS:
+        field = Field(p, k)
+        rng = np.random.default_rng(p % 1013 + 7 * k)
+        for _ in range(20):
+            ncols = int(rng.integers(4, 40))
+            nrows = int(rng.integers(ncols // 2, 2 * ncols + 1))
+            rank = int(rng.integers(1, ncols + 1))
+            width = int(rng.integers(1, 9))
+            # `rank` band rows of `width` columns from a start that moves
+            # right, each row a combination of two neighbouring ones, the
+            # rows shuffled: the row loop's window is wide in this order
+            first = np.arange(rank) * max(ncols - width, 0) // max(rank - 1, 1)
+            cols = np.arange(ncols)
+            band = rng.integers(0, field.q, size=(rank, ncols))
+            band[(cols < first[:, None]) | (cols >= first[:, None] + width)] = 0
+            pick = np.minimum(np.arange(nrows) * rank // nrows
+                              + rng.integers(0, 2, size=(2, nrows)), rank - 1)
+            mult = rng.integers(0, field.q, size=(2, nrows, 1))
+            mat = field.add(field.mul(band[pick[0]], mult[0]),
+                            field.mul(band[pick[1]], mult[1]))
+            mat = mat[rng.permutation(nrows)]
+            lines.append(repr((p, k, rank_over_field(mat, field),
+                               rank_over_field(np.asfortranarray(mat),
+                                               field))))
+        # one system per decision: one matrix, rows in start order
+        for n, s, d in ((3, 2, (2, 2)), (4, 2, (2, 2))):
+            for i in range(3):
+                system = sample_system(n, s, d, field.q, f"row-loop:{i}")
+                lines += [repr(decide(system, cert)) for cert in CERTS]
+    return "\n".join(lines)
+
+
 # primes whose interval L = floor((2^63 - 1 - p) / (p-1)^2) is 3049, 409,
 # 3 and 2: the 882x495 irr and 5733x3060 nons matrices have more than 409
 # pivots, so the reduction check runs on them from p = 150000001 up, and
@@ -346,6 +385,7 @@ def cases():
     yield "field-add-sub", _field_add_sub
     yield "point-search", _point_search
     yield "stack-splits", _stack_splits
+    yield "row-loop-layouts", _row_loop_layouts
     yield "big-primes", _big_primes
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS:
