@@ -26,7 +26,7 @@ from .census import (DEFAULT_EXHAUSTIVE_CAP, DEFAULT_POINT_CAP, oracle_check,
                      run_census)
 from .chow import chow_class, extract_bound, top_coefficient
 from .errors import CicensusError
-from .field import parse_field_spec
+from .field import field_from_order, parse_field_spec
 from .macaulay import DEFAULT_MAX_CELLS, decide
 from .poly import CERTS, cert_recipe, parse_system_file, recipe_degrees
 
@@ -94,6 +94,8 @@ def _parse_certs(text: str):
 
 
 def _cmd_bounds(args) -> int:
+    if args.q is not None:
+        field_from_order(args.q)  # refuses a q that is no field's order
     rep = bounds_report(args.n, args.s, _parse_d(args.d), args.q)
     st = rep.stats
     payload = {

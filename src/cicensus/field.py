@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DegreeMismatch, DivisionByZero, NotPrime,
+from .errors import (DegreeMismatch, DivisionByZero, FormatError, NotPrime,
                      ReducibleModulus, TooLarge)
 
 # largest extension field order and largest p with an inverse table;
@@ -450,15 +450,20 @@ class Field:
 
 def parse_field_spec(spec: str) -> Field:
     """Build a field from 'p' or 'p^k' (e.g. '101', '2^4')."""
-    spec = spec.strip()
-    if "^" in spec:
-        ps, ks = spec.split("^", 1)
-        return Field(int(ps), int(ks))
-    return Field(int(spec))
+    ps, caret, ks = spec.strip().partition("^")
+    try:
+        p, k = int(ps), int(ks) if caret else 1
+    except ValueError:
+        raise FormatError(f"cannot parse field spec {spec!r}") from None
+    return Field(p, k)
 
 
 def field_from_order(q: int) -> Field:
-    """Build F_q from its cardinality, which must be a prime power."""
+    """Build F_q from its cardinality, which must be a prime power; every
+    field has fewer than 2^31 elements, so a larger q is refused before
+    it is factored."""
+    if q >= 1 << 31:
+        raise TooLarge(f"field order {q} exceeds 2^31")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise NotPrime(f"{q} is not a prime power")

@@ -57,10 +57,11 @@ most (p-1)^2 from an entry, so an entry that starts in [0, p) stays in
 int64 for L = floor((2^63 - 1 - p) / (p-1)^2) updates; L >= 2, since
 Field caps p below 2^31.  The rows a pivot updates are updated in plain
 int64 and reduced only when one of their entries could not take another
-update, a check that a matrix of at most L pivots skips (``_subtract``).
-Otherwise a kernel reduces the pivot column and the pivot row as it
-reads them, and nothing else.  Over an extension field every update
-reduces (``Field.submul``).
+update, a check that runs iff L^2 < DEFAULT_MAX_CELLS, p > 39,901,857
+(``_subtract``): a matrix has at most DEFAULT_MAX_CELLS cells, so with the
+check off no entry takes more than min(R, C) <= L updates.  Otherwise a
+kernel reduces the pivot column and the pivot row as it reads them, and
+nothing else.  Over an extension field every update reduces.
 
 The gate sizes every matrix in closed form first
 (``bounds.macaulay_shape``): one over DEFAULT_MAX_CELLS cells raises
@@ -131,12 +132,11 @@ def _subtract(a, rows, mult, prow, field: Field) -> None:
     so a[rows] starts right of it.  rows is a slice of a window, updated in
     place, or an index of the hit rows, gathered and scattered back; a row
     with multiplier 0 is left as it was.  An extension field reduces every
-    entry (``field.submul``).  Over F_p every entry, at least 0 on input,
-    can take one more update of at most (p-1)^2, and the rows with a
-    nonzero multiplier are reduced when one of the updated entries could
-    not.  An entry takes one update per pivot at most, and a matrix has
-    min(nrows, ncols) pivots at most, so on one of at most
-    ``_reduction_interval(p)`` the check is skipped."""
+    entry (``field.submul``).  Over F_p the rows with a nonzero multiplier
+    are reduced when one of the updated entries could not take another
+    update of at most (p-1)^2, a check that runs iff L^2 <
+    DEFAULT_MAX_CELLS, L = ``_reduction_interval(p)``: an entry takes one
+    update per pivot, and a capped matrix has at most L pivots otherwise."""
     if field.k > 1:
         a[rows] = field.submul(a[rows], mult, prow)
         return
@@ -145,7 +145,7 @@ def _subtract(a, rows, mult, prow, field: Field) -> None:
     # the product in the block's own layout: a window of a column-major
     # matrix is column-major
     below -= np.multiply(mult, prow, out=np.empty_like(below))
-    if (min(a.shape[-2:]) > _reduction_interval(p)
+    if (_reduction_interval(p) ** 2 < DEFAULT_MAX_CELLS
             and below.min() < (p - 1) ** 2 - 2 ** 63 + 1):
         np.remainder(below, p, out=below, where=mult != 0)
     a[rows] = below  # numpy skips the copy when a[rows] is a view
@@ -182,12 +182,12 @@ def _echelon(a, field: Field) -> int:
     if not a.size:
         return 0
     nrows, ncols = a.shape
-    # each from a C-order bool, whatever a's layout: an argmax over a
+    # both from one C-order bool, whatever a's layout: an argmax over a
     # column-major bool copies it; last is taken on the unreversed rows
-    last = ncols - 1 - np.not_equal(a, 0, order="C").argmax(axis=1)
     a = a[:, ::-1]
     nz = np.not_equal(a, 0, order="C")
     start = nz.argmax(axis=1)
+    last = ncols - 1 - nz[:, ::-1].argmax(axis=1)
     start[~nz[np.arange(nrows), start]] = ncols
     del nz
     cols = np.arange(ncols)
@@ -230,21 +230,17 @@ def _echelon_stack(a, field: Field):
     into its own stack: the others go on the worklist at column c + 1, so
     every step works on a whole group.  One read of column c per pivot
     gives the pivots and the rows to update.  Reduction is delayed as in
-    the row loop (``_subtract``).  A group of one finishes in the row
-    loop, which indexes one matrix faster than the stack, unless the stack
-    has more than L = ``_reduction_interval(p)`` pivots and the rest at
-    most L: the row loop would skip the check that rows updated here may
-    still need.  Only a stack that never splits is eliminated in place."""
+    the row loop (``_subtract``), by a check p alone decides, so every
+    group of one finishes in the row loop, which indexes one matrix faster
+    than the stack.  Only a stack that never splits is eliminated in place."""
     nb, nrows, ncols = a.shape
     ranks = np.zeros(nb, dtype=np.int64)
-    interval = _reduction_interval(field.p)
     # matrices, their stack, column, pivot row
     work = [(np.arange(nb), a, 0, 0)] if a.size else []
     while work:
         idx, a, c, r = work.pop()
         while c < ncols and r < nrows:
-            if len(idx) == 1 and not (min(nrows - r, ncols - c) <= interval
-                                      < min(nrows, ncols)):
+            if len(idx) == 1:
                 r += _echelon(a[0, r:, c:], field)  # the rest: the row loop
                 break
             nz = _reduced(a[:, r:, c], field) != 0
@@ -284,8 +280,12 @@ def _eliminate(a, field: Field):
 def rank_over_field(rows, field: Field):
     """Row-echelon rank over F_q of a dense matrix of element encodings, or
     the array of ranks of a (B, R, C) stack of them, given as lists or an
-    array; the kernel eliminates in a copy."""
-    return _eliminate(np.array(rows, dtype=np.int64), field)
+    array; the kernel eliminates in a copy.  A matrix over DEFAULT_MAX_CELLS
+    cells raises TooLarge first, as the check in ``_subtract`` needs."""
+    a = np.array(rows, dtype=np.int64)
+    if a.ndim > 1:
+        check_shape(a.shape[-2:])
+    return _eliminate(a, field)
 
 
 def _stack(forms, shifts, ncols, rows=None):

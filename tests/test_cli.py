@@ -146,3 +146,32 @@ def test_bounds_reports_matrix_shapes(capsys):
     nons = json.loads(out)["degree_bounds"]["nons"]
     assert nons["macaulay_shape"] == [44044, 18564]
     assert nons["exceeds_cap"] is True
+
+
+def _bounds_at(capsys, q):
+    return _run(capsys, "bounds", "--n", "2", "--s", "1", "--d", "3",
+                "--q", q)
+
+
+def test_bounds_refuses_q_0_and_1(capsys):
+    # the probability floors would divide by zero at q = 0 and q = 1
+    for q in ("0", "1"):
+        code, out, err = _bounds_at(capsys, q)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "prime power" in err
+
+
+def test_bounds_refuses_a_q_no_field_has(capsys):
+    for q in ("6", "-3", str(1 << 40)):
+        code, out, err = _bounds_at(capsys, q)
+        assert code == 1 and not out and err.startswith("error: ")
+
+
+def test_test_command_refuses_an_unparsable_field(tmp_path, capsys):
+    path = tmp_path / "conic.sys"
+    path.write_text("field 3\nnvars 3\npoly 1: 1:2,0,0 + 1:0,1,1\n")
+    for spec in ("abc", "3^x", "3^", "^2"):
+        code, out, err = _run(capsys, "test", "--field", spec,
+                              "--system", str(path))
+        assert code == 1 and not out
+        assert err == f"error: cannot parse field spec {spec!r}\n"

@@ -1,9 +1,10 @@
 """The elimination kernels over F_p leave the rows they update unreduced
 in int64 and reduce the rows an update leaves unable to take another,
-a check skipped on a matrix of at most ``_reduction_interval(p)``
-pivots; their ranks against Gaussian elimination on Python ints, at
-p = 2 and 3, a mid-size p, and the two largest intervals' ends: L = 3
-near 1.7e9 and L = 2 at 2^31 - 1."""
+a check that runs iff L^2 < DEFAULT_MAX_CELLS, L =
+``_reduction_interval(p)``, on the matrices under that cap; their ranks
+against Gaussian elimination on Python ints, at p = 2 and 3, a mid-size
+p, and the two largest intervals' ends: L = 3 near 1.7e9 and L = 2 at
+2^31 - 1."""
 
 import numpy as np
 import pytest

@@ -1,6 +1,7 @@
 """Check that a certificate pass implies the property it states, for
-every plane cubic over F_3, every conic over F_5 and every space curve
-of pattern (3, 2, (2, 1)), a quadric and a plane, over F_3.
+every plane cubic over F_3, every conic over F_5, every plane quartic
+over F_2 and every space curve of pattern (3, 2, (2, 1)), a quadric and
+a plane, over F_3.
 
     python3 tools/audit.py
 
@@ -10,21 +11,27 @@ against the property ``cicensus test`` prints for it, by point search
 and factor search alone:
 
 - ``nons`` on a plane curve of degree d: no common zero of f and its
-  partials in P^2(F_{q^m}) for m <= d.  A reduced plane curve of degree
-  d <= 3 has at most 3 singular points and a repeated factor is a line
-  over F_q, so a singular point, if any, lies in such an extension.
+  partials in P^2(F_{q^m}) for m <= max(d, d(d-1)/2).  A reduced plane
+  curve of degree d has at most d(d-1)/2 singular points, so each Galois
+  orbit of them has at most that many, and a repeated factor is defined
+  over F_q and has degree at most d/2, so it has a point over F_{q^d}:
+  a singular point, if any, lies in such an extension.
 - ``nons`` on a space curve: no point of Z(f_1, f_2) in P^3(F_{q^m}),
   m <= 2, at which all six 2x2 minors of the Jacobian vanish.
 - ``ci``: f is squarefree, which for d <= 3 holds iff f has at most 3
   singular points in P^2(F_{q^2}); a double line has q^2 + 1 >= 10.
-- ``irr``: ``brute_force_absirr(f)``.
+- ``irr``: ``brute_force_absirr(f)`` for d <= 3.  For the quartics,
+  over its cap, the ``nons`` check: a nonsingular plane curve is
+  absolutely irreducible, since two components would meet in a singular
+  point (Bezout).
 
 One line per family gives the systems, the passes of each certificate
 and the passes whose property fails (``unsound``), which must be 0; the
 exit status is 1 if any is not.  The package is imported from the
 ``src`` beside this script.  The cubics over F_3 pass 13,122 ``ci``,
-11,664 ``nons`` and 11,664 ``irr``; the 1,180,960 space curves pass
-354,294 ``nons`` and take 196 s of a 266 s run (one core, Python 3.11,
+11,664 ``nons`` and 11,664 ``irr``; the 32,767 quartics over F_2 pass
+6,240 ``nons`` and 6,240 ``irr``; the 1,180,960 space curves pass
+354,294 ``nons`` and take 187 s of a 272 s run (one core, Python 3.11,
 numpy 2.4).  ``tests/test_one_rule.py`` runs the same audit on the
 smaller families (cubics over F_2, conics over F_2, F_3 and F_4, space
 curves over F_2) in Tier-1.
@@ -47,6 +54,7 @@ from cicensus.macaulay import decide_many  # noqa: E402
 # (n, s, d, q, certs) of the families audited
 FAMILIES = ((2, 1, (3,), 3, ("ci", "nons", "irr")),
             (2, 1, (2,), 5, ("ci", "nons", "irr")),
+            (2, 1, (4,), 2, ("nons", "irr")),
             (3, 2, (2, 1), 3, ("nons",)))
 CHUNK = 20_000  # systems decided at a time
 
@@ -71,13 +79,15 @@ def zeros(forms, m: int) -> int:
 
 def holds(cert: str, forms) -> bool:
     """Whether the system's forms have the property a pass of cert states."""
-    if cert == "nons":
-        depth = forms[0].degree if len(forms) == 1 else 2
-        sing = singular_forms(forms)
-        return all(zeros(sing, m) == 0 for m in range(1, depth + 1))
+    d = forms[0].degree
     if cert == "ci":
         return zeros(singular_forms(forms), 2) <= 3
-    return brute_force_absirr(forms[0])
+    if cert == "irr" and d <= 3:
+        return brute_force_absirr(forms[0])
+    # nons, or irr of a plane curve of degree >= 4: it is nonsingular
+    depth = max(d, d * (d - 1) // 2) if len(forms) == 1 else 2
+    sing = singular_forms(forms)
+    return all(zeros(sing, m) == 0 for m in range(1, depth + 1))
 
 
 def audit(n: int, s: int, d, q: int, certs):

@@ -41,11 +41,11 @@ and (4,2,(2,2)) systems decided one at a time, over the same fields
 certificate for 40 seeded (3,2,(2,2)) systems and the ``irr`` decision
 of ``sample_system(5, 3, (2, 2, 2), p, 0)`` for p in ``BIG_PRIMES``, and
 the ``nons`` decision of ``sample_system(4, 2, (3, 3), 150000001, 0)``
-(``big-primes``: matrices of more pivots than the reduction interval,
-so the kernels' reduction check runs, about 3 s), and ``cicensus test``
-on each committed system of ``cibench/systems``, one certificate at a
-time.  The package is imported from the ``src`` beside this script, so
-the hashes belong to that checkout.  The ``nons`` case of
+(``big-primes``: primes at which the kernels' reduction check runs,
+about 3 s), and ``cicensus test`` on each committed system of
+``cibench/systems``, one certificate at a time.  The package is
+imported from the ``src`` beside this script, so the hashes belong to
+that checkout.  The ``nons`` case of
 ``irr-5-3-222`` decides a 6237x3003 matrix in about 1.5 s and
 ``nons-4-2-33`` takes about 1.7 s, of a run of 17 s (one core of a
 2-core machine, Python 3.11, numpy 2.4).
@@ -339,9 +339,8 @@ def _row_loop_layouts():
 
 
 # primes whose interval L = floor((2^63 - 1 - p) / (p-1)^2) is 3049, 409,
-# 3 and 2: the 882x495 irr and 5733x3060 nons matrices have more than 409
-# pivots, so the reduction check runs on them from p = 150000001 up, and
-# on the 80x56 matrices of (3,2,(2,2)) at the last two
+# 3 and 2: each is above 39,901,857, so L^2 < DEFAULT_MAX_CELLS and the
+# kernels' reduction check runs on every matrix at all four
 BIG_PRIMES = (55000013, 150000001, P_L3, 2 ** 31 - 1)
 
 
