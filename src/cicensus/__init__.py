@@ -27,13 +27,13 @@ from .chow import ChowClass, chow_class, extract_bound, top_coefficient
 from .errors import (ArityMismatch, CicensusError, DegreeMismatch,
                      DivisionByZero, EmptyInput, FormatError,
                      HypothesisViolated, IncompatibleFields, IndexOutOfRange,
-                     InhomogeneousInput, MixedFields, NotPrime,
+                     InhomogeneousInput, MixedFields, NotAMatrix, NotPrime,
                      PatternViolation, ReducibleModulus, SearchSpaceTooLarge,
                      TooLarge, UnsupportedCertificate)
 from .field import Field, field_from_order, is_prime, parse_field_spec
 from .macaulay import (EmptinessVerdict, certify, coordinate_slice, decide,
-                       decide_many, macaulay_degree, macaulay_instance,
-                       projective_empty, rank_over_field)
+                       decide_certs, decide_many, macaulay_degree,
+                       macaulay_instance, projective_empty, rank_over_field)
 from .poly import (CERTS, DegreePattern, Poly, PolySystem, TestSystem,
                    build_test_system, cert_recipe, compose_linear,
                    jacobian_det, jacobian_minor, monomials, parse_system_file,

@@ -10,9 +10,13 @@ parameters and seed give byte-identical reports up to the volatile
 timestamp/runtime fields.  A census decides its trials in batches of
 coefficient arrays, one int64 row per trial and form: Monte Carlo rows
 are drawn as ``sample_system`` draws them, exhaustive rows are read from
-the system index, and each certificate decides the whole batch in stacks
-(``decide_coeffs``) without building a Poly; results are read back in
-index order, so reports do not depend on ``jobs``.
+the system index, and the whole batch is decided in stacks
+(``decide_coeffs``) without building a Poly.  Certificates with equal
+``cert_recipe`` build the same Macaulay matrices, so each distinct recipe
+is eliminated once per batch and its certificates share the verdicts:
+``nons`` and ``irr`` on every curve pattern (n - s = 1), where both keep
+two minors.  Results are read back in index order, so reports do not
+depend on ``jobs``.
 
 A Monte Carlo census reports "violated" when its pass count is below
 the floor by an exact one-sided binomial test at the 3-sigma level: one
@@ -471,12 +475,12 @@ def _batch(spec, certs, count_points: bool, keep_trials: bool, trials):
     (pattern, q, mode, seed)``: Monte Carlo trial i is drawn from its own
     stream random.Random(trial_seed(seed, i)), as ``sample_system`` draws
     it, and exhaustive trial i is system i of ``enumerate_systems``.
-    Their coefficient vectors fill one array per form, from which each
-    certificate decides the whole batch (``decide_coeffs``); a Poly is
-    built only to count points or to keep the system text.  Points are
-    counted only where the report reads them: for kept trials and for
-    trials that pass ``ci``.  Returns (verdicts, points or None, system
-    text) per trial, in order."""
+    Their coefficient vectors fill one array per form, from which one
+    ``decide_coeffs`` call decides the whole batch for every certificate,
+    each distinct recipe once; a Poly is built only to count points or to
+    keep the system text.  Points are counted only where the report reads
+    them: for kept trials and for trials that pass ``ci``.  Returns
+    (verdicts, points or None, system text) per trial, in order."""
     pattern, q, mode, seed = spec
     field = field_from_order(q)
     if mode == "exhaustive":
@@ -485,8 +489,7 @@ def _batch(spec, certs, count_points: bool, keep_trials: bool, trials):
         rows = [_sampled_vectors(pattern, q, trial_seed(seed, i))
                 for i in trials]
         forms = [np.array(vecs, dtype=np.int64) for vecs in zip(*rows)]
-    decided = {cert: decide_coeffs(pattern, field, forms, cert)
-               for cert in certs}
+    decided = decide_coeffs(pattern, field, forms, certs)
     out = []
     for i in range(len(trials)):
         verdicts = {cert: decided[cert][i].empty for cert in certs}

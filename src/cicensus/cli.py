@@ -27,7 +27,7 @@ from .census import (DEFAULT_EXHAUSTIVE_CAP, DEFAULT_POINT_CAP, oracle_check,
 from .chow import chow_class, extract_bound, top_coefficient
 from .errors import CicensusError
 from .field import field_from_order, parse_field_spec
-from .macaulay import DEFAULT_MAX_CELLS, decide
+from .macaulay import DEFAULT_MAX_CELLS, decide_certs
 from .poly import CERTS, cert_recipe, parse_system_file, recipe_degrees
 
 OUTDIR_ENV = "CICENSUS_OUTDIR"
@@ -157,8 +157,10 @@ def _cmd_test(args) -> int:
     pat = system.pattern
     print(f"system: n={pat.n} s={pat.s} d={list(pat.d)} over "
           f"F_{system.field.spec_str()} (delta={pat.delta}, sigma={pat.sigma})")
-    for cert in _parse_certs(args.cert):
-        verdict = decide(system, cert)
+    certs = _parse_certs(args.cert)
+    decided = decide_certs([system], certs)  # each distinct recipe once
+    for cert in certs:
+        verdict = decided[cert][0]
         if verdict.empty:
             meaning = _GUARANTEES[cert].format(dim=pat.n - pat.s,
                                                delta=pat.delta)

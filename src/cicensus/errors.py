@@ -61,6 +61,10 @@ class TooLarge(CicensusError):
     pass
 
 
+class NotAMatrix(CicensusError, ValueError):
+    """Rank input that is not a matrix or a stack of equal matrices."""
+
+
 class SearchSpaceTooLarge(CicensusError):
     pass
 

@@ -27,10 +27,15 @@ never slice X_0.
 Every system of one pattern gives a sliced matrix of one shape, known in
 closed form (``bounds.recipe_macaulay_shape``), so a certificate is
 decided for many systems at once, from one int64 (B, M) coefficient
-array per form (``decide_coeffs``; ``decide_many`` converts its systems
-at the boundary): the forms fill int64 (B, R, C) stacks of at most
-_STACK_CELLS cells, one scatter per form, and each stack is eliminated
-in lockstep (``_echelon_stack``), each part of a split in its own copy.
+array per form (``decide_coeffs``; ``decide_certs`` and ``decide_many``
+convert their systems at the boundary): the forms fill int64 (B, R, C)
+stacks of at most _STACK_CELLS cells, one scatter per form, and each
+stack is eliminated in lockstep (``_echelon_stack``), each part of a
+split in its own copy.  A verdict belongs to a recipe, not to a
+certificate: certificates with equal ``cert_recipe(cert, n, s)`` build
+the same test systems and the same matrices, so ``decide_coeffs``
+decides each distinct recipe once and its certificates share the
+verdicts (``nons`` and ``irr`` both keep two minors when n - s = 1).
 
 One matrix is eliminated by the row loop (``_echelon``), which keeps
 the band these matrices have.  A row m * g_j spans many columns in
@@ -78,7 +83,7 @@ import numpy as np
 
 from .bounds import macaulay_shape, recipe_macaulay_shape
 from .errors import (ArityMismatch, DegreeMismatch, EmptyInput, MixedFields,
-                     PatternViolation, TooLarge)
+                     NotAMatrix, PatternViolation, TooLarge)
 from .field import Field
 from .poly import (DegreePattern, Poly, PolySystem, TestSystem, cert_recipe,
                    coeff_array, minor_arrays, recipe_degrees,
@@ -280,11 +285,21 @@ def _eliminate(a, field: Field):
 def rank_over_field(rows, field: Field):
     """Row-echelon rank over F_q of a dense matrix of element encodings, or
     the array of ranks of a (B, R, C) stack of them, given as lists or an
-    array; the kernel eliminates in a copy.  A matrix over DEFAULT_MAX_CELLS
-    cells raises TooLarge first, as the check in ``_subtract`` needs."""
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim > 1:
-        check_shape(a.shape[-2:])
+    array; the kernel eliminates in a copy.  ``[]`` is the empty matrix.
+    Input that is not a matrix or a stack of them (a scalar, a row, ragged
+    rows, four or more axes) raises NotAMatrix, and a matrix over
+    DEFAULT_MAX_CELLS cells TooLarge, as the check in ``_subtract`` needs,
+    both before any elimination."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NotAMatrix(f"not an int64 matrix or stack: {exc}") from None
+    if a.shape == (0,):
+        a = a.reshape(0, 0)
+    if a.ndim not in (2, 3):
+        raise NotAMatrix(f"a {a.ndim}-axis array is not a matrix or a stack "
+                         f"of matrices")
+    check_shape(a.shape[-2:])
     return _eliminate(a, field)
 
 
@@ -421,35 +436,53 @@ def coordinate_slice(ts: TestSystem, coords) -> TestSystem:
     return TestSystem(ts.cert, ts.field, nvars, forms, ts.degrees[:-c])
 
 
-def decide_coeffs(pattern: DegreePattern, field: Field, forms, cert: str):
-    """``decide_many`` for B systems of the pattern over the field given as
-    one int64 (B, len(monomials(n+1, d_i))) coefficient array per form
-    f_i; no Poly is built.  The sliced test systems are f and the recipe's
-    m minors, all restricted to X_0..X_{v-1}, v = s + m.  The caller
-    checks the matrix shape."""
-    minors = cert_recipe(cert, pattern.n, pattern.s)[0]
-    v = pattern.s + len(minors)
-    sliced = [f[:, restrict_index(pattern.n + 1, v, e)]
-              for f, e in zip(forms, pattern.d)]
-    return _verdicts(sliced + minor_arrays(forms, pattern, field, minors, v),
-                     recipe_degrees(pattern, cert)[:v], field)
+def decide_coeffs(pattern: DegreePattern, field: Field, forms, certs) -> dict:
+    """{cert: ``decide_many`` verdicts} for the certificates, for B systems
+    of the pattern over the field given as one int64 (B, len(monomials(n+1,
+    d_i))) coefficient array per form f_i; no Poly is built.  The sliced
+    test systems are f and the recipe's m minors, all restricted to
+    X_0..X_{v-1}, v = s + m.  Certificates with equal ``cert_recipe(cert,
+    n, s)`` build the same test systems, so each distinct recipe is decided
+    once and its certificates share one list of verdicts.  The caller
+    checks the matrix shapes."""
+    recipes = {cert: cert_recipe(cert, pattern.n, pattern.s) for cert in certs}
+    decided = {}
+    for cert, recipe in recipes.items():
+        if recipe in decided:
+            continue
+        v = pattern.s + len(recipe[0])
+        sliced = [f[:, restrict_index(pattern.n + 1, v, e)]
+                  for f, e in zip(forms, pattern.d)]
+        decided[recipe] = _verdicts(
+            sliced + minor_arrays(forms, pattern, field, recipe[0], v),
+            recipe_degrees(pattern, cert)[:v], field)
+    return {cert: decided[recipe] for cert, recipe in recipes.items()}
+
+
+def decide_certs(systems, certs) -> dict:
+    """{cert: ``decide_many(systems, cert)``} for the certificates: the
+    systems are converted to one coefficient array per form once, and each
+    distinct recipe is decided once (``decide_coeffs``); a matrix of any of
+    them over DEFAULT_MAX_CELLS cells raises TooLarge before any work."""
+    systems, certs = list(systems), tuple(certs)
+    if not systems:
+        return {cert: [] for cert in certs}
+    pat, field = systems[0].pattern, systems[0].field
+    for cert in certs:
+        check_shape(recipe_macaulay_shape(pat.n, pat.s, pat.d, cert))
+    if any(s.pattern != pat or s.field != field for s in systems):
+        raise PatternViolation("the systems need one pattern and field")
+    forms = [coeff_array([x.forms[i] for x in systems], pat.n + 1, e)
+             for i, e in enumerate(pat.d)]
+    return decide_coeffs(pat, field, forms, certs)
 
 
 def decide_many(systems, cert: str) -> list:
     """``[decide(system, cert) for system in systems]`` for systems of one
     pattern and field, converted to one coefficient array per form and
-    decided in stacks (``decide_coeffs``); a matrix over DEFAULT_MAX_CELLS
+    decided in stacks (``decide_certs``); a matrix over DEFAULT_MAX_CELLS
     cells raises TooLarge before any work."""
-    systems = list(systems)
-    if not systems:
-        return []
-    pat, field = systems[0].pattern, systems[0].field
-    check_shape(recipe_macaulay_shape(pat.n, pat.s, pat.d, cert))
-    if any(s.pattern != pat or s.field != field for s in systems):
-        raise PatternViolation("decide_many needs one pattern and field")
-    forms = [coeff_array([x.forms[i] for x in systems], pat.n + 1, e)
-             for i, e in enumerate(pat.d)]
-    return decide_coeffs(pat, field, forms, cert)
+    return decide_certs(systems, (cert,))[cert]
 
 
 def decide(system: PolySystem, cert: str) -> EmptinessVerdict:

@@ -121,8 +121,9 @@ def test_rows_no_pivot_updates_are_left_as_they_were():
 
 @pytest.mark.parametrize("ncols", (3, 4))
 def test_the_check_is_skipped_up_to_the_interval(ncols):
-    # L = 3: a matrix of 3 columns has at most 3 pivots and skips the
-    # check, one of 4 runs it; every update takes (p-1)^2
+    # L = 3, so L^2 < DEFAULT_MAX_CELLS and the check runs on every
+    # matrix at this p (p > 39,901,857), of 3 columns as of 4, alone and
+    # in a stack; every update takes (p-1)^2
     mat = _worst_case(P_L3, 6, ncols, ncols)
     field = Field(P_L3)
     assert rank_over_field(mat, field) == reference_rank(mat, P_L3) == ncols
@@ -131,11 +132,11 @@ def test_the_check_is_skipped_up_to_the_interval(ncols):
 
 
 def test_a_checked_group_of_one_keeps_its_check():
-    # in lockstep the stack of 7x6 matrices (more than L = 3 pivots)
-    # checks its updates, and the first matrix takes three before its
-    # group splits down to it at column 3; a 4x3 rest in the row loop
-    # would skip the check, and two more updates would wrap int64 and
-    # give rank 6
+    # the check runs at this p (p > 39,901,857, L = 3), in lockstep and
+    # in the row loop alike: the first matrix takes three updates in the
+    # stack of 7x6 matrices before its group splits down to it at column
+    # 3, and its 4x3 rest in the row loop must check too, or two more
+    # updates would wrap int64 and give rank 6
     first = [[-3, 0, -2, 6, 0, 1], [-2, -1, 0, 2, 3, 2],
              [0, 2, 3, -3, 3, 5], [0, -1, -1, 3, -1, -2],
              [-3, 3, -1, -1, 1, 1], [-1, -2, -1, 7, 0, 0],

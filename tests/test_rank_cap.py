@@ -1,11 +1,13 @@
 """``rank_over_field`` caps each matrix at DEFAULT_MAX_CELLS cells, as the
 gate does, before any elimination: the kernels' reduction check is
-decided by p alone, and it is sound only on matrices under the cap."""
+decided by p alone, and it is sound only on matrices under the cap.  It
+refuses input that is not a matrix or a stack of them, also before any
+elimination."""
 
 import numpy as np
 import pytest
 
-from cicensus import Field, TooLarge
+from cicensus import CicensusError, Field, NotAMatrix, TooLarge
 from cicensus import macaulay as mac_mod
 from cicensus.macaulay import (DEFAULT_MAX_CELLS, _reduction_interval,
                                rank_over_field)
@@ -39,3 +41,15 @@ def test_matrices_at_the_cap_and_empty_input_are_ranked(monkeypatch):
     assert rank_over_field([[]], field) == 0
     assert rank_over_field(np.zeros((0, 3, 3), dtype=np.int64),
                            field).tolist() == []
+
+
+@pytest.mark.parametrize("rows", ([1, 2, 3], [[1, 2], [3]], 7,
+                                  np.ones((2, 2, 2, 2), dtype=np.int64)),
+                         ids=("row", "ragged", "scalar", "four-axes"))
+def test_what_is_no_matrix_is_refused_before_elimination(monkeypatch, rows):
+    def eliminated(*args):
+        raise AssertionError("input that is no matrix was eliminated")
+    monkeypatch.setattr(mac_mod, "_eliminate", eliminated)
+    with pytest.raises(NotAMatrix) as err:
+        rank_over_field(rows, Field(3))
+    assert isinstance(err.value, CicensusError)

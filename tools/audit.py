@@ -6,9 +6,11 @@ a plane, over F_3.
     python3 tools/audit.py
 
 Each system of ``enumerate_systems(n, s, d, q)`` is decided with
-``decide_many``, 20,000 systems at a time; each pass is then checked
-against the property ``cicensus test`` prints for it, by point search
-and factor search alone:
+``decide_certs``, 20,000 systems at a time, each distinct recipe once:
+the plane curves are curve patterns (n - s = 1), so ``nons`` and ``irr``
+share one elimination and one verdict per system.  Each pass is then
+checked against the property ``cicensus test`` prints for it, by point
+search and factor search alone:
 
 - ``nons`` on a plane curve of degree d: no common zero of f and its
   partials in P^2(F_{q^m}) for m <= max(d, d(d-1)/2).  A reduced plane
@@ -29,12 +31,13 @@ One line per family gives the systems, the passes of each certificate
 and the passes whose property fails (``unsound``), which must be 0; the
 exit status is 1 if any is not.  The package is imported from the
 ``src`` beside this script.  The cubics over F_3 pass 13,122 ``ci``,
-11,664 ``nons`` and 11,664 ``irr``; the 32,767 quartics over F_2 pass
-6,240 ``nons`` and 6,240 ``irr``; the 1,180,960 space curves pass
-354,294 ``nons`` and take 187 s of a 272 s run (one core, Python 3.11,
-numpy 2.4).  ``tests/test_one_rule.py`` runs the same audit on the
-smaller families (cubics over F_2, conics over F_2, F_3 and F_4, space
-curves over F_2) in Tier-1.
+11,664 ``nons`` and 11,664 ``irr`` (45 s); the 32,767 quartics over F_2
+pass 6,240 ``nons`` and 6,240 ``irr`` (16 s, 21 s when each certificate
+was eliminated on its own); the 1,180,960 space curves pass 354,294
+``nons`` and take 175 s of a 240 s run (one core of a 2-core host, the
+other busy, Python 3.11, numpy 2.4).  ``tests/test_one_rule.py`` runs
+the same audit on the smaller families (cubics over F_2, conics over
+F_2, F_3 and F_4, space curves over F_2) in Tier-1.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from cicensus import brute_force_absirr, enumerate_systems  # noqa: E402
 from cicensus.census import _common_zeros, _point_blocks  # noqa: E402
-from cicensus.macaulay import decide_many  # noqa: E402
+from cicensus.macaulay import decide_certs  # noqa: E402
 
 # (n, s, d, q, certs) of the families audited
 FAMILIES = ((2, 1, (3,), 3, ("ci", "nons", "irr")),
@@ -97,9 +100,9 @@ def audit(n: int, s: int, d, q: int, certs):
     total = 0
     while chunk := list(itertools.islice(systems, CHUNK)):
         total += len(chunk)
+        decided = decide_certs(chunk, certs)
         for cert in certs:
-            passed = [x.forms for x, v in
-                      zip(chunk, decide_many(chunk, cert)) if v.empty]
+            passed = [x.forms for x, v in zip(chunk, decided[cert]) if v.empty]
             passes[cert] += len(passed)
             unsound[cert] += sum(not holds(cert, f) for f in passed)
     return total, passes, unsound

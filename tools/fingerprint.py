@@ -43,12 +43,14 @@ of ``sample_system(5, 3, (2, 2, 2), p, 0)`` for p in ``BIG_PRIMES``, and
 the ``nons`` decision of ``sample_system(4, 2, (3, 3), 150000001, 0)``
 (``big-primes``: primes at which the kernels' reduction check runs,
 about 3 s), and ``cicensus test`` on each committed system of
-``cibench/systems``, one certificate at a time.  The package is
+``cibench/systems``, one certificate at a time and with ``--cert all``
+(``test-<stem>-all``: a verdict shared by certificates of one recipe
+prints under each of them).  The package is
 imported from the ``src`` beside this script, so the hashes belong to
 that checkout.  The ``nons`` case of
 ``irr-5-3-222`` decides a 6237x3003 matrix in about 1.5 s and
-``nons-4-2-33`` takes about 1.7 s, of a run of 17 s (one core of a
-2-core machine, Python 3.11, numpy 2.4).
+``nons-4-2-33`` takes about 1.7 s, of a run of 40 cases in 15 s (one
+core of a 2-core machine, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -387,7 +389,7 @@ def cases():
     yield "row-loop-layouts", _row_loop_layouts
     yield "big-primes", _big_primes
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
-        for cert in CERTS:
+        for cert in CERTS + ("all",):
             yield (f"test-{path.stem}-{cert}",
                    lambda path=path, cert=cert: _cli_test(path, cert))
 
