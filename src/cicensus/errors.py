@@ -62,7 +62,8 @@ class TooLarge(CicensusError):
 
 
 class NotAMatrix(CicensusError, ValueError):
-    """Rank input that is not a matrix or a stack of equal matrices."""
+    """Rank input that is not a matrix or a stack of equal matrices over
+    the field: over an extension field an entry must lie in [0, q)."""
 
 
 class SearchSpaceTooLarge(CicensusError):

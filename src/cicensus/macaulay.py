@@ -8,9 +8,11 @@ zero x kills the full rank because X_j^N cannot vanish at x for every j.
 Rank over F_q equals rank over any extension, so the verdict is
 closure-correct.
 
-A form that is identically zero imposes no condition: the remaining n
-forms always meet in projective n-space, so the gate short-circuits to
-"not empty" without building a matrix.
+A form that is identically zero is decided like any other: its rows
+are zero, so the rank and the deficit are those of the other n forms,
+and the deficit is still the Hilbert function at N.  The verdict is
+"not empty", as it must be: n forms in n+1 variables always meet in
+projective n-space, so their matrix never has full column rank.
 
 The ``stci``, ``ci`` and ``irr`` recipes end with coordinate forms X_j.
 The common zeros of all n+1 forms are the common zeros of the others on
@@ -286,10 +288,11 @@ def rank_over_field(rows, field: Field):
     """Row-echelon rank over F_q of a dense matrix of element encodings, or
     the array of ranks of a (B, R, C) stack of them, given as lists or an
     array; the kernel eliminates in a copy.  ``[]`` is the empty matrix.
-    Input that is not a matrix or a stack of them (a scalar, a row, ragged
-    rows, four or more axes) raises NotAMatrix, and a matrix over
-    DEFAULT_MAX_CELLS cells TooLarge, as the check in ``_subtract`` needs,
-    both before any elimination."""
+    Over F_p any int is read mod p.  Input that is not a matrix or a stack
+    of them (a scalar, a row, ragged rows, four or more axes), or, over an
+    extension field, has an entry outside [0, q), raises NotAMatrix, and a
+    matrix over DEFAULT_MAX_CELLS cells TooLarge, as the check in
+    ``_subtract`` needs, all before any elimination."""
     try:
         a = np.array(rows, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -299,6 +302,8 @@ def rank_over_field(rows, field: Field):
     if a.ndim not in (2, 3):
         raise NotAMatrix(f"a {a.ndim}-axis array is not a matrix or a stack "
                          f"of matrices")
+    if field.k > 1 and a.size and not 0 <= a.min() <= a.max() < field.q:
+        raise NotAMatrix(f"an entry is not an element of F_{field.q}")
     check_shape(a.shape[-2:])
     return _eliminate(a, field)
 
@@ -381,27 +386,24 @@ def _check_forms(forms, field: Field, nvars: int, degrees) -> None:
 
 def _verdicts(forms, degrees, field: Field) -> list:
     """Emptiness verdicts of B systems of len(degrees) forms in as many
-    variables, given as one (B, M_j) coefficient array per form: one with
-    a zero form short-circuits, the others go in stacks of at most
-    _STACK_CELLS cells, or one matrix each, in start order."""
+    variables, given as one (B, M_j) coefficient array per form, each the
+    rank of its matrix: the batch is cut into contiguous stacks of at most
+    _STACK_CELLS cells, a stack of one in start order.  A zero form adds
+    zero rows, and the other forms meet, so its verdict is "not empty"
+    (module docstring)."""
     n_deg = macaulay_degree(degrees)
     nrows, ncols = check_shape(macaulay_shape(degrees))
-    out = [EmptinessVerdict(empty=False, rank=0, degree=n_deg, nrows=0,
-                            ncols=ncols)] * len(forms[0])
-    live = np.logical_and.reduce([g.any(axis=1) for g in forms]).nonzero()[0]
     shifts = [shift_index(len(degrees), n_deg, e) for e in degrees]
     size = max(1, _STACK_CELLS // (nrows * ncols))
-    for lo in range(0, len(live), size):
-        batch = live[lo:lo + size]
+    ranks = []
+    for lo in range(0, len(forms[0]), size):
+        part = [g[lo:lo + size] for g in forms]
         # one matrix goes to the row loop, its rows in start order
-        rows = _start_order(tuple(degrees)) if len(batch) == 1 else None
+        rows = _start_order(tuple(degrees)) if len(part[0]) == 1 else None
         # no name keeps a stack alive while the next one is filled
-        ranks = _eliminate(_stack([g[batch] for g in forms], shifts, ncols,
-                                  rows), field)
-        for i, rank in zip(batch.tolist(), ranks.tolist()):
-            out[i] = EmptinessVerdict(empty=(rank == ncols), rank=rank,
-                                      degree=n_deg, nrows=nrows, ncols=ncols)
-    return out
+        ranks += _eliminate(_stack(part, shifts, ncols, rows), field).tolist()
+    return [EmptinessVerdict(empty=(rank == ncols), rank=rank, degree=n_deg,
+                             nrows=nrows, ncols=ncols) for rank in ranks]
 
 
 def projective_empty(ts: TestSystem) -> EmptinessVerdict:

@@ -8,8 +8,9 @@ from cicensus import (ArityMismatch, DegreePattern, EmptyInput, Field,
                       MixedFields, Poly, PolySystem, TestSystem,
                       build_test_system, certify, compose_linear,
                       count_zf_points, enumerate_systems, macaulay_degree,
-                      monomials, poly_parse, projective_count,
-                      projective_empty, recipe_macaulay_degree)
+                      macaulay_instance, monomials, poly_parse,
+                      projective_count, projective_empty, rank_over_field,
+                      recipe_macaulay_degree)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -45,10 +46,15 @@ def test_projective_empty_examples():
     assert v.empty
 
 
-def test_zero_form_short_circuits():
-    v = projective_empty(_ts(F3, [Poly.zero(F3, 3, 2),
-                                  _lin(F3, 3, 1), _lin(F3, 3, 2)], (2, 1, 1)))
-    assert not v.empty and v.nrows == 0
+def test_zero_form_adds_zero_rows():
+    ts = _ts(F3, [Poly.zero(F3, 3, 2), _lin(F3, 3, 1), _lin(F3, 3, 2)],
+             (2, 1, 1))
+    v = projective_empty(ts)
+    a = macaulay_instance(ts)
+    assert not v.empty
+    assert (v.rank, v.nrows, v.ncols) == (rank_over_field(a, F3), *a.shape)
+    # X_1 and X_2 meet in the one point (1:0:0)
+    assert (v.nrows, v.ncols, v.rank, v.deficit) == (7, 6, 5, 1)
 
 
 def test_arity_and_field_checks():

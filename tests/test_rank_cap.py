@@ -1,8 +1,8 @@
 """``rank_over_field`` caps each matrix at DEFAULT_MAX_CELLS cells, as the
 gate does, before any elimination: the kernels' reduction check is
 decided by p alone, and it is sound only on matrices under the cap.  It
-refuses input that is not a matrix or a stack of them, also before any
-elimination."""
+refuses input that is not a matrix or a stack of them, and over an
+extension field an entry outside [0, q), also before any elimination."""
 
 import numpy as np
 import pytest
@@ -53,3 +53,23 @@ def test_what_is_no_matrix_is_refused_before_elimination(monkeypatch, rows):
     with pytest.raises(NotAMatrix) as err:
         rank_over_field(rows, Field(3))
     assert isinstance(err.value, CicensusError)
+
+
+@pytest.mark.parametrize("rows", ([[5, 1], [1, 1]], [[-1, 1], [1, 1]],
+                                  [[[0, 1], [1, 4]]]),
+                         ids=("above-q", "negative", "stack"))
+def test_an_entry_outside_an_extension_field_is_refused(monkeypatch, rows):
+    def eliminated(*args):
+        raise AssertionError("an entry outside F_4 was eliminated")
+    monkeypatch.setattr(mac_mod, "_eliminate", eliminated)
+    with pytest.raises(NotAMatrix):
+        rank_over_field(rows, Field(2, 2))
+
+
+def test_a_prime_field_reads_any_int_mod_p():
+    field = Field(3)
+    # -1 is 2 and 5 is 2, so both matrices are [[2, 1], [1, 1]] of rank 2;
+    # 4 is 1, so the last is all ones, of rank 1
+    assert rank_over_field([[-1, 1], [1, 1]], field) == 2
+    assert rank_over_field([[5, 1], [1, 1]], field) == 2
+    assert rank_over_field([[4, -2], [1, 1]], field) == 1

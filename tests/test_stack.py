@@ -97,21 +97,23 @@ def test_array_inverse(q):
     assert _inverses.cache_info().misses == tabled
 
 
+def _sliced(system, cert):
+    return coordinate_slice(build_test_system(system, cert),
+                            cert_recipe(cert, system.pattern.n,
+                                        system.pattern.s)[1])
+
+
 def _reference(system, cert):
     """(empty, rank, nrows, ncols) through the single-matrix build and
-    the row loop, or the short-circuit when a sliced form is zero."""
-    ts = coordinate_slice(build_test_system(system, cert),
-                          cert_recipe(cert, system.pattern.n,
-                                      system.pattern.s)[1])
+    the row loop."""
+    ts = _sliced(system, cert)
     a = macaulay_instance(ts)
-    if any(g.is_zero() for g in ts.forms):
-        return False, 0, 0, a.shape[1]
     rank = rank_over_field(a, ts.field)
     return rank == a.shape[1], rank, a.shape[0], a.shape[1]
 
 
 @pytest.mark.parametrize("n,s,d,q,count", [
-    (2, 1, (2,), 3, None),          # every conic, many short-circuits
+    (2, 1, (2,), 3, None),          # every conic, many zero sliced forms
     (3, 2, (2, 1), 101, 60),
     (3, 2, (2, 2), 16, 12),
     (4, 2, (2, 1), 27, 10),
@@ -122,15 +124,15 @@ def test_decide_many_equals_decide(n, s, d, q, count):
     else:
         systems = [sample_system(n, s, d, q, f"many:{i}")
                    for i in range(count)]
-    short = 0
+    zero = 0
     for cert in CERTS:
         many = decide_many(systems, cert)
         assert many == [decide(x, cert) for x in systems]
         for x, v in zip(systems, many):
             assert (v.empty, v.rank, v.nrows, v.ncols) == _reference(x, cert)
-        short += sum(v.nrows == 0 for v in many)
+            zero += any(g.is_zero() for g in _sliced(x, cert).forms)
     if count is None:
-        assert short  # the short-circuit is exercised
+        assert zero  # systems with a zero sliced form are decided too
     assert decide_many([], "ci") == []
 
 

@@ -27,14 +27,17 @@ search and factor search alone:
   absolutely irreducible, since two components would meet in a singular
   point (Bezout).
 
+The checks are keyed by property, not by certificate, so a system whose
+``nons`` and ``irr`` passes both need nonsingularity is searched once.
+
 One line per family gives the systems, the passes of each certificate
 and the passes whose property fails (``unsound``), which must be 0; the
 exit status is 1 if any is not.  The package is imported from the
 ``src`` beside this script.  The cubics over F_3 pass 13,122 ``ci``,
-11,664 ``nons`` and 11,664 ``irr`` (45 s); the 32,767 quartics over F_2
-pass 6,240 ``nons`` and 6,240 ``irr`` (16 s, 21 s when each certificate
-was eliminated on its own); the 1,180,960 space curves pass 354,294
-``nons`` and take 175 s of a 240 s run (one core of a 2-core host, the
+11,664 ``nons`` and 11,664 ``irr`` (42 s); the 32,767 quartics over F_2
+pass 6,240 ``nons`` and 6,240 ``irr`` (11 s, 16 s when each pass was
+searched once per certificate); the 1,180,960 space curves pass 354,294
+``nons`` and take 148 s of a 205 s run (one core of a 2-core host, the
 other busy, Python 3.11, numpy 2.4).  ``tests/test_one_rule.py`` runs
 the same audit on the smaller families (cubics over F_2, conics over
 F_2, F_3 and F_4, space curves over F_2) in Tier-1.
@@ -80,14 +83,23 @@ def zeros(forms, m: int) -> int:
                for pts in _point_blocks(ext, forms[0].nvars - 1))
 
 
-def holds(cert: str, forms) -> bool:
-    """Whether the system's forms have the property a pass of cert states."""
-    d = forms[0].degree
+def checked_property(cert: str, forms) -> str:
+    """The property whose check stands for a pass of cert: ``irr`` of a
+    plane curve of degree >= 4 is checked as ``nonsingular``."""
     if cert == "ci":
+        return "squarefree"
+    if cert == "irr" and forms[0].degree <= 3:
+        return "absirr"
+    return "nonsingular"
+
+
+def holds(prop: str, forms) -> bool:
+    """Whether the system's forms have the property."""
+    d = forms[0].degree
+    if prop == "squarefree":
         return zeros(singular_forms(forms), 2) <= 3
-    if cert == "irr" and d <= 3:
+    if prop == "absirr":
         return brute_force_absirr(forms[0])
-    # nons, or irr of a plane curve of degree >= 4: it is nonsingular
     depth = max(d, d * (d - 1) // 2) if len(forms) == 1 else 2
     sing = singular_forms(forms)
     return all(zeros(sing, m) == 0 for m in range(1, depth + 1))
@@ -101,10 +113,16 @@ def audit(n: int, s: int, d, q: int, certs):
     while chunk := list(itertools.islice(systems, CHUNK)):
         total += len(chunk)
         decided = decide_certs(chunk, certs)
+        # each system's property is checked once, whichever passes need it
+        checked = [{} for _ in chunk]
         for cert in certs:
-            passed = [x.forms for x, v in zip(chunk, decided[cert]) if v.empty]
-            passes[cert] += len(passed)
-            unsound[cert] += sum(not holds(cert, f) for f in passed)
+            for x, v, seen in zip(chunk, decided[cert], checked):
+                if v.empty:
+                    prop = checked_property(cert, x.forms)
+                    if prop not in seen:
+                        seen[prop] = holds(prop, x.forms)
+                    passes[cert] += 1
+                    unsound[cert] += not seen[prop]
     return total, passes, unsound
 
 

@@ -37,11 +37,13 @@ matrices in shuffled row order, row-major and column-major, and the
 ``decide`` verdicts of every certificate for three seeded (3,2,(2,2))
 and (4,2,(2,2)) systems decided one at a time, over the same fields
 (``row-loop-layouts``: the row loop's window and its two updates), the
-``decide_many`` (empty, rank) vectors of every
-certificate for 40 seeded (3,2,(2,2)) systems and the ``irr`` decision
-of ``sample_system(5, 3, (2, 2, 2), p, 0)`` for p in ``BIG_PRIMES``, and
-the ``nons`` decision of ``sample_system(4, 2, (3, 3), 150000001, 0)``
-(``big-primes``: primes at which the kernels' reduction check runs,
+``decide_many`` (empty, rank, nrows, ncols) of every certificate for
+every conic over F_3 and F_4 (``zero-form-verdicts``: a zero sliced form
+adds zero rows to its matrix), the ``decide_many`` (empty, rank) vectors
+of every certificate for 40 seeded (3,2,(2,2)) systems and the ``irr``
+decision of ``sample_system(5, 3, (2, 2, 2), p, 0)`` for p in
+``BIG_PRIMES``, and the ``nons`` decision of ``sample_system(4, 2, (3,
+3), 150000001, 0)`` (``big-primes``: primes at which the kernels' reduction check runs,
 about 3 s), and ``cicensus test`` on each committed system of
 ``cibench/systems``, one certificate at a time and with ``--cert all``
 (``test-<stem>-all``: a verdict shared by certificates of one recipe
@@ -49,7 +51,7 @@ prints under each of them).  The package is
 imported from the ``src`` beside this script, so the hashes belong to
 that checkout.  The ``nons`` case of
 ``irr-5-3-222`` decides a 6237x3003 matrix in about 1.5 s and
-``nons-4-2-33`` takes about 1.7 s, of a run of 40 cases in 15 s (one
+``nons-4-2-33`` takes about 1.7 s, of a run of 41 cases in 16 s (one
 core of a 2-core machine, Python 3.11, numpy 2.4).
 """
 
@@ -306,6 +308,18 @@ def _stack_splits():
     return "\n".join(lines)
 
 
+def _zero_form_verdicts():
+    # 211 of the 1,456 verdicts over F_3 and 980 of the 5,460 over F_4 have
+    # a zero sliced form, whose rows in the matrix are zero
+    lines = []
+    for q in (3, 4):
+        conics = list(enumerate_systems(2, 1, (2,), q))
+        for cert in CERTS:
+            lines.append(repr((q, cert, [(v.empty, v.rank, v.nrows, v.ncols)
+                                         for v in decide_many(conics, cert)])))
+    return "\n".join(lines)
+
+
 def _row_loop_layouts():
     lines = []
     for p, k in SPLIT_FIELDS:
@@ -387,6 +401,7 @@ def cases():
     yield "point-search", _point_search
     yield "stack-splits", _stack_splits
     yield "row-loop-layouts", _row_loop_layouts
+    yield "zero-form-verdicts", _zero_form_verdicts
     yield "big-primes", _big_primes
     for path in sorted((ROOT / "cibench" / "systems").glob("*.sys")):
         for cert in CERTS + ("all",):
